@@ -14,6 +14,7 @@ namespace asvm {
 AsvmAgent::AsvmAgent(AsvmSystem& system, NodeId node)
     : ProtocolAgent(system, node, TraceProtocol::kAsvm),
       system_(system),
+      counters_(system.agent_counters()),
       vm_(system.cluster().vm(node)),
       failover_(system.cluster().params().failover) {
   Transport& main_transport = system.config().use_norma_transport
@@ -180,7 +181,7 @@ void AsvmAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired
   }
   ps.pending = true;
   if (stats_ != nullptr) {
-    stats_->Add("asvm.data_requests");
+    counters_.data_requests.Add(*stats_, "asvm.data_requests");
   }
   AccessRequest req;
   req.target = id;
@@ -200,7 +201,7 @@ void AsvmAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired)
   ObjectState& os = obj_state(id);
   PageState& ps = page_state(os, page);
   if (stats_ != nullptr) {
-    stats_->Add("asvm.data_unlocks");
+    counters_.data_unlocks.Add(*stats_, "asvm.data_unlocks");
   }
   if (ps.owner) {
     // Transition 7: the owner upgrades its own access.
@@ -299,7 +300,7 @@ void AsvmAgent::HandleRequest(AccessRequest req) {
       // then be dropped as a duplicate, evaporating the page — drop the
       // request instead.
       if (stats_ != nullptr) {
-        stats_->Add("asvm.self_stragglers_dropped");
+        counters_.self_stragglers_dropped.Add(*stats_, "asvm.self_stragglers_dropped");
       }
       return;
     }
@@ -342,7 +343,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
   // ring — which always terminates.
   if (req.hops > system_.cluster().node_count() + 2) {
     if (stats_ != nullptr) {
-      stats_->Add("asvm.fwd_escalations");
+      counters_.fwd_escalations.Add(*stats_, "asvm.fwd_escalations");
     }
     SendToTerminal(std::move(req));
     return;
@@ -366,7 +367,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
         os.dyn_hints->Put(req.page, req.origin);
       }
       if (stats_ != nullptr) {
-        stats_->Add("asvm.fwd_dynamic");
+        counters_.fwd_dynamic.Add(*stats_, "asvm.fwd_dynamic");
       }
       Trace(TraceKind::kForwardDynamic, req.search, req.page, target, 0, req.req_id);
       SendRequest(target, req);
@@ -384,7 +385,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
     }
     if (mgr != node_) {
       if (stats_ != nullptr) {
-        stats_->Add("asvm.fwd_static");
+        counters_.fwd_static.Add(*stats_, "asvm.fwd_static");
       }
       Trace(TraceKind::kForwardStatic, req.search, req.page, mgr, 0, req.req_id);
       SendRequest(mgr, req);
@@ -396,21 +397,21 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
       if (entry->first == StaticHintKind::kOwner && entry->second != node_ &&
           !NodeDead(entry->second)) {
         if (stats_ != nullptr) {
-          stats_->Add("asvm.fwd_static_hit");
+          counters_.fwd_static_hit.Add(*stats_, "asvm.fwd_static_hit");
         }
         SendRequest(entry->second, req);
         return;
       }
       if (entry->first == StaticHintKind::kFresh || entry->first == StaticHintKind::kPaged) {
         if (stats_ != nullptr) {
-          stats_->Add("asvm.fwd_static_terminal");
+          counters_.fwd_static_terminal.Add(*stats_, "asvm.fwd_static_terminal");
         }
         SendToTerminal(std::move(req));
         return;
       }
     }
     if (stats_ != nullptr) {
-      stats_->Add("asvm.fwd_static_miss");
+      counters_.fwd_static_miss.Add(*stats_, "asvm.fwd_static_miss");
     }
     SendToTerminal(std::move(req));
     return;
@@ -430,7 +431,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
   req.ring_left = static_cast<int>(info.sharing.size());
   req.ring_pos = 0;
   if (stats_ != nullptr) {
-    stats_->Add("asvm.fwd_global_started");
+    counters_.fwd_global_started.Add(*stats_, "asvm.fwd_global_started");
   }
   RingForward(std::move(req));
 }
@@ -449,7 +450,7 @@ void AsvmAgent::RingForward(AccessRequest req) {
       continue;  // removed sharer: a message there is a black hole
     }
     if (stats_ != nullptr) {
-      stats_->Add("asvm.fwd_global_hop");
+      counters_.fwd_global_hop.Add(*stats_, "asvm.fwd_global_hop");
     }
     Trace(TraceKind::kForwardGlobal, req.search, req.page, next, 0, req.req_id);
     SendRequest(next, req);
@@ -572,7 +573,7 @@ void AsvmAgent::ReissueAfterPromotion(const AccessRequest& req) {
     system_.PromoteIfHomeDead(req.target);
     engine().Post([this, req]() {
       if (stats_ != nullptr) {
-        stats_->Add(kStatReissues);
+        counters_.reissues.Add(*stats_, kStatReissues);
       }
       AccessRequest fresh = req;
       fresh.hops = 0;
@@ -608,7 +609,7 @@ void AsvmAgent::MirrorToBackup(const MemObjectId& id, PageIndex page, uint64_t v
   sent.version = version;
   sent.data = ClonePage(data);
   if (stats_ != nullptr) {
-    stats_->Add(kStatShadowUpdates);
+    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
   }
   Send(backup, AsvmMsgType::kShadowUpdate, AsvmShadowUpdate{id, page, version},
        ClonePage(data));
@@ -632,7 +633,7 @@ void AsvmAgent::ReplayShadowLedger(NodeId backup) {
   for (auto& [id, pages] : sent_shadow_) {
     for (auto& [page, sp] : pages) {
       if (stats_ != nullptr) {
-        stats_->Add(kStatShadowRestreams);
+        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
       }
       Send(backup, AsvmMsgType::kShadowUpdate, AsvmShadowUpdate{id, page, sp.version},
            ClonePage(sp.data));

@@ -271,6 +271,8 @@ class AsvmAgent : public Pager, public ProtocolAgent {
   // live in the ProtocolAgent pending-op table.
 
   AsvmSystem& system_;
+  // Shared with every other node's agent (owned by the system).
+  AsvmAgentCounters& counters_;
   NodeVm& vm_;
   FailoverConfig failover_;
   // Backup role: newest shadowed writeback per page, streamed from homes whose

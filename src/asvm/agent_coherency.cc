@@ -55,7 +55,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.page_version = 0;
     reply.terminal = req.terminal;
     if (stats_ != nullptr) {
-      stats_->Add("asvm.pull_served_by_owner");
+      counters_.pull_served_by_owner.Add(*stats_, "asvm.pull_served_by_owner");
     }
     SendReply(req.origin, reply, ClonePage(vp->data));
     return;
@@ -79,7 +79,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.ownership = false;
     reply.page_version = ps.version;
     if (stats_ != nullptr) {
-      stats_->Add("asvm.read_grants");
+      counters_.read_grants.Add(*stats_, "asvm.read_grants");
     }
     SendReply(req.origin, reply, ClonePage(vp->data));
     return;
@@ -123,7 +123,11 @@ Task AsvmAgent::OwnerGrantWrite(AccessRequest req) {
   reply.upgrade = upgrade;
   reply.page_version = ps.version;
   if (stats_ != nullptr) {
-    stats_->Add(upgrade ? "asvm.write_upgrade_grants" : "asvm.write_grants");
+    if (upgrade) {
+      counters_.write_upgrade_grants.Add(*stats_, "asvm.write_upgrade_grants");
+    } else {
+      counters_.write_grants.Add(*stats_, "asvm.write_grants");
+    }
   }
   vm_.UnwirePage(*os.repr, req.page);
   SendReply(req.origin, reply, upgrade ? nullptr : ClonePage(pre_write));
@@ -175,7 +179,7 @@ Task AsvmAgent::SelfUpgrade(MemObjectId id, PageIndex page) {
   ps.access = PageAccess::kWrite;
   ps.busy = false;
   if (stats_ != nullptr) {
-    stats_->Add("asvm.self_upgrades");
+    counters_.self_upgrades.Add(*stats_, "asvm.self_upgrades");
   }
   // Serve whatever queued while we were busy.
   std::deque<AccessRequest> queued;
@@ -212,7 +216,7 @@ Task AsvmAgent::InvalidateReaders(MemObjectId id, PageIndex page, NodeId except,
     Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
     Trace(TraceKind::kInvalidate, id, page, r, 0, op);
     if (stats_ != nullptr) {
-      stats_->Add("asvm.invalidations");
+      counters_.invalidations.Add(*stats_, "asvm.invalidations");
     }
   }
   ArmOp(op, [this, id, page, op, targets]() {
@@ -254,7 +258,7 @@ void AsvmAgent::OnAccessReply(NodeId src, const AccessReply& reply, PageBuffer d
     // and every replica. The fault fails Status::kDataLost — waking the
     // kernel's waiters with an error, never inventing zeros.
     if (stats_ != nullptr) {
-      stats_->Add("asvm.lost_page_faults");
+      counters_.lost_page_faults.Add(*stats_, "asvm.lost_page_faults");
     }
     if (ArmsRequests()) {
       ResolveOp(reply.req_id, Status::kDataLost);
@@ -275,7 +279,7 @@ void AsvmAgent::OnAccessReply(NodeId src, const AccessReply& reply, PageBuffer d
   if (reply.retry) {
     // Push/pull race (§3.7.3): re-issue the request from scratch.
     if (stats_ != nullptr) {
-      stats_->Add("asvm.retries");
+      counters_.retries.Add(*stats_, "asvm.retries");
     }
     ASVM_CHECK(ps.pending);
     AccessRequest req;
@@ -363,7 +367,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
     // flight (a cascade promoted past us). Re-route through the directory
     // instead of serving with stale authority.
     if (stats_ != nullptr) {
-      stats_->Add("asvm.stale_terminal_reroutes");
+      counters_.stale_terminal_reroutes.Add(*stats_, "asvm.stale_terminal_reroutes");
     }
     req.to_terminal = false;
     SendToTerminal(std::move(req));
@@ -399,7 +403,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
         // own straggler (HandleRequest); a non-owner re-routes it once the
         // in-flight grant or ownership notice has landed.
         if (stats_ != nullptr) {
-          stats_->Add("asvm.owner_is_origin_forwards");
+          counters_.owner_is_origin_forwards.Add(*stats_, "asvm.owner_is_origin_forwards");
         }
         AccessRequest fwd = req;
         fwd.ring = false;
@@ -420,7 +424,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
         // A full ring missed a live owner: a transfer was in flight. Retry
         // the ring after a short delay.
         if (stats_ != nullptr) {
-          stats_->Add("asvm.ring_retries");
+          counters_.ring_retries.Add(*stats_, "asvm.ring_retries");
         }
         AccessRequest retry = req;
         retry.ring_pos = 0;
@@ -483,7 +487,7 @@ void AsvmAgent::SendLostReply(const AccessRequest& req) {
   reply.granted = req.access;
   reply.lost = true;
   if (stats_ != nullptr) {
-    stats_->Add("asvm.lost_page_replies");
+    counters_.lost_page_replies.Add(*stats_, "asvm.lost_page_replies");
   }
   Trace(TraceKind::kServeTerminal, req.search, req.page, req.origin, -1, req.req_id);
   SendReply(req.origin, reply, nullptr);
@@ -504,7 +508,7 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
     data = ClonePage(rp->data);
     version = rp->version;
     if (stats_ != nullptr) {
-      stats_->Add("asvm.recovered_serves");
+      counters_.recovered_serves.Add(*stats_, "asvm.recovered_serves");
     }
   } else if (info.backing->HasData(req.page)) {
     Promise<PageBuffer> read_done(vm_.engine());
@@ -512,14 +516,14 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
                        [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
     data = co_await read_done.GetFuture();
     if (stats_ != nullptr) {
-      stats_->Add("asvm.backing_reads");
+      counters_.backing_reads.Add(*stats_, "asvm.backing_reads");
     }
   } else {
     Promise<Status> grant_done(vm_.engine());
     info.backing->GrantFresh(req.page, [grant_done]() { grant_done.Set(Status::kOk); });
     co_await grant_done.GetFuture();
     if (stats_ != nullptr) {
-      stats_->Add("asvm.fresh_grants");
+      counters_.fresh_grants.Add(*stats_, "asvm.fresh_grants");
     }
   }
 
@@ -561,7 +565,7 @@ Task AsvmAgent::ServeByPull(AccessRequest req) {
                   [pull_done](PullResult r) { pull_done.Set(std::move(r)); });
   PullResult result = co_await pull_done.GetFuture();
   if (stats_ != nullptr) {
-    stats_->Add("asvm.peer_pulls");
+    counters_.peer_pulls.Add(*stats_, "asvm.peer_pulls");
   }
   Trace(TraceKind::kPull, req.search, req.page, req.origin, 0, req.req_id);
 
@@ -617,7 +621,7 @@ Task AsvmAgent::ServeByPull(AccessRequest req) {
       forwarded.hops = 0;
       forwarded.ring = false;
       if (stats_ != nullptr) {
-        stats_->Add("asvm.pull_chain_forwards");
+        counters_.pull_chain_forwards.Add(*stats_, "asvm.pull_chain_forwards");
       }
       HandleRequest(std::move(forwarded));
       co_return;

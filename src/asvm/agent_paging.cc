@@ -23,7 +23,7 @@ EvictAction AsvmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data
       PruneState(os, page);
     }
     if (stats_ != nullptr) {
-      stats_->Add("asvm.evict_discards");
+      counters_.evict_discards.Add(*stats_, "asvm.evict_discards");
     }
     Trace(TraceKind::kEvictStep, id, page, kInvalidNode, 1);
     return EvictAction::kDiscard;
@@ -36,7 +36,7 @@ EvictAction AsvmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data
   ps.busy = true;
   ps.access = PageAccess::kNone;
   if (stats_ != nullptr) {
-    stats_->Add("asvm.evict_owner");
+    counters_.evict_owner.Add(*stats_, "asvm.evict_owner");
   }
   (void)EvictionTask(id, page, std::move(data), dirty, ps.version, ps.readers);
   return EvictAction::kTaken;
@@ -75,7 +75,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     if (IsOk(s)) {
       // Accepted: ownership moved without the page contents.
       if (stats_ != nullptr) {
-        stats_->Add("asvm.evict_ownership_transfers");
+        counters_.evict_ownership_transfers.Add(*stats_, "asvm.evict_ownership_transfers");
       }
       Trace(TraceKind::kEvictStep, id, page, r, 2);
       PageState& ps = page_state(os, page);
@@ -124,7 +124,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     Status s = co_await replied;
     if (IsOk(s)) {
       if (stats_ != nullptr) {
-        stats_->Add("asvm.evict_page_transfers");
+        counters_.evict_page_transfers.Add(*stats_, "asvm.evict_page_transfers");
       }
       Trace(TraceKind::kEvictStep, id, page, target, 3);
       os.last_pageout_accept = target;
@@ -170,12 +170,12 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
       });
       co_await promoted.GetFuture();
       if (stats_ != nullptr) {
-        stats_->Add(kStatReissues);
+        counters_.reissues.Add(*stats_, kStatReissues);
       }
       continue;
     }
     if (stats_ != nullptr) {
-      stats_->Add("asvm.evict_writebacks");
+      counters_.evict_writebacks.Add(*stats_, "asvm.evict_writebacks");
     }
     Trace(TraceKind::kEvictStep, id, page, home, 4);
     PageState& ps = page_state(os, page);
@@ -204,7 +204,7 @@ void AsvmAgent::OnOwnershipOffer(NodeId src, const OwnershipOffer& m) {
     ps.version = m.page_version;
     ps.readers = m.readers;
     if (stats_ != nullptr) {
-      stats_->Add("asvm.ownership_offers_accepted");
+      counters_.ownership_offers_accepted.Add(*stats_, "asvm.ownership_offers_accepted");
     }
   }
   Send(src, AsvmMsgType::kOwnershipOfferReply, OfferReply{m.object, m.page, have_copy, m.op_id});
@@ -228,10 +228,10 @@ void AsvmAgent::OnPageoutOffer(NodeId src, const PageoutOffer& m, PageBuffer dat
     ps.version = m.page_version;
     ps.readers.clear();
     if (stats_ != nullptr) {
-      stats_->Add("asvm.pageout_offers_accepted");
+      counters_.pageout_offers_accepted.Add(*stats_, "asvm.pageout_offers_accepted");
     }
   } else if (stats_ != nullptr) {
-    stats_->Add("asvm.pageout_offers_declined");
+    counters_.pageout_offers_declined.Add(*stats_, "asvm.pageout_offers_declined");
   }
   Send(src, AsvmMsgType::kPageoutOfferReply, OfferReply{m.object, m.page, accept, m.op_id});
 }
@@ -304,7 +304,7 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
   const uint64_t target_version = info.object_version;
   const AsvmObjectInfo& copy_info = system_.info(info.newest_copy);
   if (stats_ != nullptr) {
-    stats_->Add("asvm.push_operations");
+    counters_.push_operations.Add(*stats_, "asvm.push_operations");
   }
   Trace(TraceKind::kPush, id, page);
 
@@ -322,14 +322,14 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
     Promise<bool> found(vm_.engine());
     scan_waiters_.emplace(scan.req_id, found);
     if (stats_ != nullptr) {
-      stats_->Add("asvm.push_scans");
+      counters_.push_scans.Add(*stats_, "asvm.push_scans");
     }
     Trace(TraceKind::kPushScan, info.newest_copy, page);
     HandleRequest(std::move(scan));
     const bool present = co_await found.GetFuture();
     if (present) {
       if (stats_ != nullptr) {
-        stats_->Add("asvm.push_cancelled_by_scan");
+        counters_.push_cancelled_by_scan.Add(*stats_, "asvm.push_cancelled_by_scan");
       }
       new_version.Set(target_version);
       co_return;
@@ -642,7 +642,7 @@ void AsvmAgent::OnInvalidate(NodeId src, const InvalidateMsg& m) {
     PruneState(os, m.page);
   }
   if (stats_ != nullptr) {
-    stats_->Add("asvm.invalidations_received");
+    counters_.invalidations_received.Add(*stats_, "asvm.invalidations_received");
   }
   Send(src, AsvmMsgType::kInvalidateAck, OfferReply{m.object, m.page, true, m.op_id});
 }

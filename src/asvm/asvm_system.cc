@@ -106,8 +106,15 @@ MemObjectId AsvmSystem::ExportObject(NodeId node, const std::shared_ptr<VmObject
   info->id = id;
   info->pages = object->page_count();
   info->home = node;
-  info->backing = std::make_unique<AnonBacking>(cluster_.engine_for(node),
-                                                cluster_.default_pager(node), NextBackingKey());
+  const uint64_t key = NextBackingKey();
+  if (object->shadow() == nullptr) {
+    // Without a shadow chain the terminal serves from this backing, so the
+    // pages the private object already paged out move into it. (A shadowed
+    // object is served through its chain, which reads them by serial.)
+    cluster_.default_pager(node).Rename(object->serial(), key);
+  }
+  info->backing =
+      std::make_unique<AnonBacking>(cluster_.engine_for(node), cluster_.default_pager(node), key);
   directory_[id] = std::move(info);
 
   AsvmAgent& a = agent(node);

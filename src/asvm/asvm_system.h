@@ -88,6 +88,28 @@ struct AsvmObjectInfo {
   }
 };
 
+// Per-request counters of the agents, bound on first use (DESIGN.md §11).
+// The system owns one set for all nodes, so each name binds once per
+// machine and the agents stay small.
+struct AsvmAgentCounters {
+  // Requests and forwarding tiers.
+  CounterHandle data_requests, data_unlocks, self_stragglers_dropped, fwd_escalations,
+      fwd_dynamic, fwd_static, fwd_static_hit, fwd_static_terminal, fwd_static_miss,
+      fwd_global_started, fwd_global_hop, retries, stale_terminal_reroutes,
+      owner_is_origin_forwards, ring_retries;
+  // Owner and terminal service.
+  CounterHandle pull_served_by_owner, read_grants, write_grants, write_upgrade_grants,
+      self_upgrades, invalidations, invalidations_received, lost_page_faults,
+      lost_page_replies, recovered_serves, backing_reads, fresh_grants, peer_pulls,
+      pull_chain_forwards, range_lock_holds;
+  // Internode paging and pushes.
+  CounterHandle evict_discards, evict_owner, evict_ownership_transfers, evict_page_transfers,
+      evict_writebacks, ownership_offers_accepted, pageout_offers_accepted,
+      pageout_offers_declined, push_operations, push_scans, push_cancelled_by_scan;
+  // Failover.
+  CounterHandle reissues, shadow_updates, shadow_restreams;
+};
+
 class AsvmSystem : public DsmSystem {
  public:
   AsvmSystem(Cluster& cluster, AsvmConfig config = {});
@@ -105,6 +127,7 @@ class AsvmSystem : public DsmSystem {
 
   Cluster& cluster() override { return cluster_; }
   const AsvmConfig& config() const { return config_; }
+  AsvmAgentCounters& agent_counters() { return agent_counters_; }
   AsvmAgent& agent(NodeId node) { return *agents_.at(node); }
 
   // System-level monitoring, now machine-wide: the monitor attaches to the
@@ -187,6 +210,7 @@ class AsvmSystem : public DsmSystem {
 
   Cluster& cluster_;
   AsvmConfig config_;
+  AsvmAgentCounters agent_counters_;
   std::vector<std::unique_ptr<AsvmAgent>> agents_;
   std::unordered_map<MemObjectId, std::unique_ptr<AsvmObjectInfo>> directory_;
   uint32_t next_seq_ = 1;

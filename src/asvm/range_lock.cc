@@ -21,7 +21,7 @@ bool AsvmAgent::TryHoldPage(const MemObjectId& id, PageIndex page) {
     ASVM_CHECK(os.repr != nullptr);
     vm_.WirePage(*os.repr, page);
     if (stats_ != nullptr) {
-      stats_->Add("asvm.range_lock_holds");
+      counters_.range_lock_holds.Add(*stats_, "asvm.range_lock_holds");
     }
   }
   return true;

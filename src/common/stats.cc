@@ -123,4 +123,10 @@ std::string StatsRegistry::Report() const {
   return out.str();
 }
 
+std::atomic<int64_t>* CounterHandle::Bind(StatsRegistry& stats, const std::string& name) {
+  std::atomic<int64_t>* counter = &stats.Counter(name);
+  counter_.store(counter, std::memory_order_release);
+  return counter;
+}
+
 }  // namespace asvm

@@ -2,10 +2,16 @@
 // module records into a StatsRegistry owned by the Machine so experiments can
 // report message counts, bytes moved, disk operations and fault latencies.
 //
+// Cost: a string Add builds the name, takes the registry mutex and looks the
+// name up in a map. That is fine on cold paths and for names built at run
+// time. Per-event sites (messages, faults, disk operations, protocol
+// requests) count through a CounterHandle instead, which pays that lookup
+// once and then costs one relaxed atomic add (DESIGN.md §11).
+//
 // Thread safety: sharded runs (src/sim/sharded_engine.h) record from several
-// shard threads at once. Counters are atomics behind a mutex-guarded name map
-// (map nodes are stable, so hot paths still cache a pointer and increment
-// lock-free); histogram recording takes the registry mutex. Because addition
+// shard threads at once. Each counter is an atomic in a mutex-guarded map;
+// map nodes are stable, so a handle's cached pointer stays valid and its adds
+// need no lock. Histogram recording takes the registry mutex. Because addition
 // commutes and summaries are computed over sorted samples, every reported
 // value is independent of thread interleaving.
 #ifndef SRC_COMMON_STATS_H_
@@ -16,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace asvm {
@@ -54,14 +61,16 @@ class StatsRegistry {
   int64_t Get(const std::string& name) const;
 
   // Reference to a named counter, creating it at zero. std::map nodes are
-  // stable, so hot paths may cache the reference and increment it directly
-  // instead of paying a string lookup per event.
+  // stable, so the reference stays valid until Clear().
   std::atomic<int64_t>& Counter(const std::string& name);
 
   void Observe(const std::string& name, double value);
   const Histogram* FindHistogram(const std::string& name) const;
   Histogram& histogram(const std::string& name);
 
+  // Drops every counter and histogram, leaving any bound CounterHandle (and
+  // any reference from Counter()) dangling: only for a registry nothing
+  // records into any more.
   void Clear();
 
   // Not safe against concurrent Add/Observe of *new* names; call only while
@@ -76,6 +85,36 @@ class StatsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::atomic<int64_t>> counters_;
   std::map<std::string, Histogram> histograms_;
+};
+
+// One counter of a StatsRegistry, looked up by name on the handle's first Add
+// and reached through a cached pointer after that. Binding on the first Add,
+// not at construction, keeps the counter out of counters() and Report() until
+// an event counts, exactly as a string Add would. A handle serves one
+// (registry, name) pair for life: every call site that shares a handle must
+// pass the same registry and name. Shard threads may share a handle: racing
+// first Adds resolve the same map node, so whichever store lands wins.
+class CounterHandle {
+ public:
+  // Adds `delta` to the counter `name` of `stats`. `name` is a string, or a
+  // callable that builds one; only the Add that binds the handle reads it.
+  template <typename Name>
+  void Add(StatsRegistry& stats, const Name& name, int64_t delta = 1) {
+    std::atomic<int64_t>* counter = counter_.load(std::memory_order_acquire);
+    if (counter == nullptr) [[unlikely]] {
+      if constexpr (std::is_invocable_v<const Name&>) {
+        counter = Bind(stats, name());
+      } else {
+        counter = Bind(stats, name);
+      }
+    }
+    counter->fetch_add(delta, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<int64_t>* Bind(StatsRegistry& stats, const std::string& name);
+
+  std::atomic<std::atomic<int64_t>*> counter_{nullptr};
 };
 
 }  // namespace asvm

@@ -228,7 +228,7 @@ SimTime Cluster::ProcessPending() {
     }
     PendingRecord rec = std::move(const_cast<PendingRecord&>(pending_.top()));
     pending_.pop();
-    stats_.Add("sim.sharded.records_replayed");
+    records_replayed_.Add(stats_, "sim.sharded.records_replayed");
     const SimTime rx_done = network_->ProcessRecord(rec.record);
     if (rx_done >= 0) {
       engine_for(rec.record.dst).ScheduleAt(rx_done, std::move(rec.record.deliver));
@@ -278,7 +278,7 @@ bool Cluster::DrainSharded(SimTime until) {
     // and everything already sent has been replayed — so the window up to and
     // including n0 + lookahead - 1 is causally closed. Pending mutations cap
     // the window at m - 1 so they apply on time.
-    stats_.Add("sim.sharded.windows");
+    windows_.Add(stats_, "sim.sharded.windows");
     in_window_ = true;
     sharded_->RunWindow(std::min({until, SatAdd(n0, lookahead_) - 1, m - 1}));
     in_window_ = false;

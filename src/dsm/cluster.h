@@ -242,6 +242,8 @@ class Cluster {
   // window barrier, so AssertDriverQuiescent reads it race-free.
   bool in_window_ = false;
   StatsRegistry stats_;
+  CounterHandle records_replayed_;
+  CounterHandle windows_;
   TraceSink trace_sink_;  // must outlive everything that emits into it
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<Network> network_;

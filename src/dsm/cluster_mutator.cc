@@ -15,7 +15,7 @@ ClusterMutator::ClusterMutator(ShardRouter* router, int shard_count, int node_co
 }
 
 void ClusterMutator::Enqueue(NodeId origin, EventFn fn) {
-  armed_ = true;
+  Arm();
   Pending p;
   p.send_time = router_->engine_for(origin).Now();
   p.origin = origin;

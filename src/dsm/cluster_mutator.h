@@ -21,6 +21,7 @@
 #ifndef SRC_DSM_CLUSTER_MUTATOR_H_
 #define SRC_DSM_CLUSTER_MUTATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -55,8 +56,8 @@ class ClusterMutator {
   // windowed, mutation-aware drain. Sticky; call before the first Run that
   // may observe an Enqueue. Constructing a ClusterWaitGroup/ClusterBarrier or
   // starting a RemoteFork arms automatically.
-  void Arm() { armed_ = true; }
-  bool armed() const { return armed_; }
+  void Arm() { armed_.store(true, std::memory_order_relaxed); }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   // Uniform enqueue→apply latency: the cluster's conservative lookahead.
   SimDuration latency() const { return latency_; }
@@ -96,7 +97,8 @@ class ClusterMutator {
   ShardRouter* router_;
   SimDuration latency_;
   StatsRegistry* stats_;
-  bool armed_ = false;
+  // Atomic: shard threads enqueueing in one window all set it.
+  std::atomic<bool> armed_{false};
   // Only shard i's thread (or the quiescent driver) appends to outboxes_[i];
   // the coordinator drains them between windows — the same single-writer
   // discipline as the mesh mailbox. seq_ is per origin node: one origin's

@@ -160,7 +160,7 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
   if (op.attempts < retry_.max_retries && op.resend) {
     ++op.attempts;
     if (stats_ != nullptr) {
-      stats_->Add("dsm.op_retries");
+      op_counters_.op_retries.Add(*stats_, "dsm.op_retries");
     }
     const SimDuration next_deadline = RetryDelay(op.attempts);
     Trace(TraceKind::kRetry, op.object, op.page, kInvalidNode, next_deadline, op_id);
@@ -196,7 +196,11 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
     }
   }
   if (stats_ != nullptr) {
-    stats_->Add(status == Status::kNodeDown ? "dsm.op_node_down" : "dsm.op_timeouts");
+    if (status == Status::kNodeDown) {
+      op_counters_.op_node_down.Add(*stats_, "dsm.op_node_down");
+    } else {
+      op_counters_.op_timeouts.Add(*stats_, "dsm.op_timeouts");
+    }
   }
   Trace(status == Status::kNodeDown ? TraceKind::kFailover : TraceKind::kTimeout, op.object,
         op.page, kInvalidNode, op.attempts, op_id);
@@ -257,7 +261,7 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
       continue;
     }
     if (stats_ != nullptr) {
-      stats_->Add("dsm.op_node_down");
+      op_counters_.op_node_down.Add(*stats_, "dsm.op_node_down");
     }
     Trace(TraceKind::kFailover, op.object, op.page, kInvalidNode, op.attempts, id);
     auto on_fail = std::move(op.on_fail);
@@ -296,7 +300,7 @@ bool ProtocolAgent::DuplicateDelivery(uint64_t op_id) {
 
 void ProtocolAgent::CountDuplicate() {
   if (stats_ != nullptr) {
-    stats_->Add("dsm.duplicates_suppressed");
+    op_counters_.duplicates_suppressed.Add(*stats_, "dsm.duplicates_suppressed");
   }
 }
 

@@ -154,6 +154,10 @@ class ProtocolAgent {
 
   DsmSystem& dsm_;
   Engine& engine_;
+  // Pending-op outcome counters, bound on first use (DESIGN.md §11).
+  struct OpCounters {
+    CounterHandle op_retries, op_node_down, op_timeouts, duplicates_suppressed;
+  } op_counters_;
   std::string system_name_;  // for stall reports ("asvm node 3: ...")
   RetryPolicy retry_;
   TraceSink* trace_;  // the cluster's machine-wide sink (never null)

@@ -22,6 +22,7 @@ int MaxHops(int node_count) { return node_count * 4; }
 IvyAgent::IvyAgent(IvySystem& system, NodeId node)
     : ProtocolAgent(system, node, TraceProtocol::kIvy),
       system_(system),
+      counters_(system.agent_counters()),
       vm_(system.cluster().vm(node)),
       failover_(system.cluster().params().failover),
       copy_threads_(system.cluster().engine_for(node), system.config().copy_pager_threads) {
@@ -137,14 +138,14 @@ bool IvyAgent::DescribeStall(std::string& out) const {
 
 void IvyAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired) {
   if (stats_ != nullptr) {
-    stats_->Add("ivy.data_requests");
+    counters_.data_requests.Add(*stats_, "ivy.data_requests");
   }
   SendRequest(object.id(), page, desired, /*has_copy=*/false);
 }
 
 void IvyAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) {
   if (stats_ != nullptr) {
-    stats_->Add("ivy.data_unlocks");
+    counters_.data_unlocks.Add(*stats_, "ivy.data_unlocks");
   }
   SendRequest(object.id(), page, desired, /*has_copy=*/true);
 }
@@ -179,7 +180,7 @@ void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
     // The faulting node is the owner: no wire traffic at all — the property
     // the paper credits dynamic ownership for on write-heavy sharing.
     if (stats_ != nullptr) {
-      stats_->Add("dsm.ivy.local_serves");
+      counters_.local_serves.Add(*stats_, "dsm.ivy.local_serves");
     }
     Trace(TraceKind::kIvyRequest, id, page, node_, static_cast<int64_t>(access));
     OwnerHandle(std::move(req));
@@ -197,7 +198,7 @@ void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
   // dropped as a straggler — which would lose a granted transfer and loop.
   req.op_id = reuse_op != 0 ? reuse_op : system_.NextOpId(node_);
   if (stats_ != nullptr) {
-    stats_->Add("dsm.ivy.requests");
+    counters_.requests.Add(*stats_, "dsm.ivy.requests");
   }
   Trace(TraceKind::kIvyRequest, id, page, target, static_cast<int64_t>(access), req.op_id);
   if (failover_.enabled && retry_policy().timeout_ns > 0) {
@@ -241,7 +242,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
   }
   if (req.hops >= MaxHops(system_.cluster().node_count())) {
     if (stats_ != nullptr) {
-      stats_->Add("dsm.ivy.dropped_forwards");
+      counters_.dropped_forwards.Add(*stats_, "dsm.ivy.dropped_forwards");
     }
     co_return;
   }
@@ -254,7 +255,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
     // true owner (or makes us the owner) and DrainParked re-routes it.
     os.parked[req.page].push_back(std::move(req));
     if (stats_ != nullptr) {
-      stats_->Add("dsm.ivy.parked_requests");
+      counters_.parked_requests.Add(*stats_, "dsm.ivy.parked_requests");
     }
     co_return;
   }
@@ -265,7 +266,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
   }
   ++req.hops;
   if (stats_ != nullptr) {
-    stats_->Add("dsm.ivy.forwards");
+    counters_.forwards.Add(*stats_, "dsm.ivy.forwards");
   }
   Trace(TraceKind::kIvyForward, req.object, req.page, next, req.hops, req.op_id);
   if (req.access == PageAccess::kWrite) {
@@ -335,7 +336,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
     co_return;  // reclaimed away (buried or cold-restarted) while parked
   }
   if (stats_ != nullptr) {
-    stats_->Add("dsm.ivy.owner_requests");
+    counters_.owner_requests.Add(*stats_, "dsm.ivy.owner_requests");
     stats_->Observe("dsm.ivy.chain_length", static_cast<double>(req.hops));
   }
   Trace(TraceKind::kIvyServe, id, req.page, req.origin, req.hops, req.op_id);
@@ -347,7 +348,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
                    false, /*ownership=*/false, node_,      req.op_id,
                    /*lost=*/true};
     if (stats_ != nullptr) {
-      stats_->Add("dsm.ivy.lost_page_replies");
+      counters_.lost_page_replies.Add(*stats_, "dsm.ivy.lost_page_replies");
     }
     DeliverReply(req, reply, nullptr);
     FinishServe(id, req.page);
@@ -398,7 +399,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       for (NodeId r : targets) {
         Trace(TraceKind::kIvyInvalidate, id, req.page, r, 0, op);
         if (stats_ != nullptr) {
-          stats_->Add("dsm.ivy.invalidations");
+          counters_.invalidations.Add(*stats_, "dsm.ivy.invalidations");
         }
         Send(r, IvyMsgType::kInvalidate, IvyInvalidate{id, req.page, new_owner, op});
       }
@@ -427,7 +428,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       if (upgrade) {
         vm_.LockGranted(*repr, req.page, PageAccess::kWrite);
         if (stats_ != nullptr) {
-          stats_->Add("dsm.ivy.self_upgrades");
+          counters_.self_upgrades.Add(*stats_, "dsm.ivy.self_upgrades");
         }
         Trace(TraceKind::kIvyGrant, id, req.page, node_,
               static_cast<int64_t>(PageAccess::kWrite), req.op_id);
@@ -469,7 +470,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       IvyReply reply{id,    req.page, PageAccess::kWrite, zero_fill,
                      false, /*ownership=*/false, node_, req.op_id, false};
       if (stats_ != nullptr) {
-        stats_->Add("dsm.ivy.write_grants");
+        counters_.write_grants.Add(*stats_, "dsm.ivy.write_grants");
       }
       DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
       FinishServe(id, req.page);
@@ -529,8 +530,12 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
                    req.op_id,
                    false};
     if (stats_ != nullptr) {
-      stats_->Add(upgrade ? "dsm.ivy.write_upgrade_grants" : "dsm.ivy.write_grants");
-      stats_->Add("dsm.ivy.ownership_moves");
+      if (upgrade) {
+        counters_.write_upgrade_grants.Add(*stats_, "dsm.ivy.write_upgrade_grants");
+      } else {
+        counters_.write_grants.Add(*stats_, "dsm.ivy.write_grants");
+      }
+      counters_.ownership_moves.Add(*stats_, "dsm.ivy.ownership_moves");
     }
     Trace(TraceKind::kOwnershipMoved, id, req.page, req.origin, 0, req.op_id);
     DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
@@ -584,7 +589,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
   IvyReply reply{id,    req.page, PageAccess::kRead, zero_fill,
                  false, /*ownership=*/false, node_, req.op_id, false};
   if (stats_ != nullptr) {
-    stats_->Add("dsm.ivy.read_grants");
+    counters_.read_grants.Add(*stats_, "dsm.ivy.read_grants");
   }
   DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
   FinishServe(id, req.page);
@@ -610,7 +615,7 @@ void IvyAgent::ApplyGrant(const MemObjectId& id, PageIndex page, const IvyReply&
   auto repr = reprs_.at(id);
   if (reply.lost) {
     if (stats_ != nullptr) {
-      stats_->Add("dsm.ivy.lost_page_faults");
+      counters_.lost_page_faults.Add(*stats_, "dsm.ivy.lost_page_faults");
     }
     Trace(TraceKind::kGrantApplied, id, page, reply.owner, /*aux=*/-1, reply.op_id);
     vm_.FaultFailed(*repr, page, Status::kDataLost);
@@ -672,7 +677,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   if (info.IsCopyObject()) {
     if (!dirty) {
       if (stats_ != nullptr) {
-        stats_->Add("ivy.evict_discards");
+        counters_.evict_discards.Add(*stats_, "ivy.evict_discards");
       }
       return EvictAction::kDiscard;
     }
@@ -685,7 +690,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
     // The owner's kernel copy is the page's authoritative contents — capture
     // it (clean or dirty) as the protocol-level copy future grants serve.
     if (stats_ != nullptr) {
-      stats_->Add("ivy.evict_captures");
+      counters_.evict_captures.Add(*stats_, "ivy.evict_captures");
     }
     st->pager_copy = std::move(data);
     if (dirty) {
@@ -711,7 +716,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   // Non-owner read copy: discard. The owner still lists us in its copyset —
   // conservative; a re-touch simply re-requests.
   if (stats_ != nullptr) {
-    stats_->Add("ivy.evict_discards");
+    counters_.evict_discards.Add(*stats_, "ivy.evict_discards");
   }
   return EvictAction::kDiscard;
 }
@@ -739,7 +744,7 @@ void IvyAgent::MirrorToBackup(NodeId primary, const MemObjectId& id, PageIndex p
     sent_shadow_[id][page] = ClonePage(data);
   }
   if (stats_ != nullptr) {
-    stats_->Add(kStatShadowUpdates);
+    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
   }
   if (backup == node_) {
     shadow_[id][page] = ClonePage(data);
@@ -763,7 +768,7 @@ void IvyAgent::ReplayShadowLedger(NodeId backup) {
   for (auto& [id, pages] : sent_shadow_) {
     for (auto& [page, buf] : pages) {
       if (stats_ != nullptr) {
-        stats_->Add(kStatShadowRestreams);
+        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
       }
       Send(backup, IvyMsgType::kShadowUpdate, IvyWriteback{id, page, true}, ClonePage(buf));
       SendShadowManifest(id, page, backup);
@@ -810,7 +815,7 @@ void IvyAgent::CutChains(NodeId dead) {
       // ourselves would orbit; fall back to the home instead.
       os.hints.GetOrCreate(p).owner = succ == node_ ? kInvalidNode : succ;
       if (stats_ != nullptr) {
-        stats_->Add(kStatIvyChainCuts);
+        counters_.chain_cuts.Add(*stats_, kStatIvyChainCuts);
       }
       Trace(TraceKind::kIvyChainCut, id, p, dead);
     }
@@ -827,7 +832,7 @@ void IvyAgent::ReissueAfterOwnerDeath(const MemObjectId& id, PageIndex page, Pag
     system_.ReclaimIfOwnerDead(id, page, node_);
     engine().Post([this, id, page, access, has_copy, reuse_op]() {
       if (stats_ != nullptr) {
-        stats_->Add(kStatReissues);
+        counters_.reissues.Add(*stats_, kStatReissues);
       }
       SendRequest(id, page, access, has_copy, reuse_op);
     });
@@ -844,7 +849,7 @@ Task IvyAgent::CopyFaultTask(NodeId src, IvyCopyFault m) {
   if (copy_threads_.available() == 0 &&
       std::find(m.path.begin(), m.path.end(), node_) != m.path.end()) {
     if (stats_ != nullptr) {
-      stats_->Add("ivy.copy_deadlocks");
+      counters_.copy_deadlocks.Add(*stats_, "ivy.copy_deadlocks");
     }
     Send(src, IvyMsgType::kCopyFaultReply,
          IvyCopyFaultReply{m.object, m.page, false, /*deadlock=*/true});
@@ -853,7 +858,7 @@ Task IvyAgent::CopyFaultTask(NodeId src, IvyCopyFault m) {
   co_await copy_threads_.Acquire();
   co_await StackProcess();
   if (stats_ != nullptr) {
-    stats_->Add("ivy.copy_faults");
+    counters_.copy_faults.Add(*stats_, "ivy.copy_faults");
   }
 
   const VmOffset addr = (entry.base_page + static_cast<VmOffset>(m.page)) * vm_.page_size();
@@ -927,7 +932,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
             it->second.pager_copy = std::move(msg.page);
           }
           if (stats_ != nullptr) {
-            stats_->Add("dsm.ivy.straggler_ownership_grants");
+            counters_.straggler_ownership_grants.Add(*stats_, "dsm.ivy.straggler_ownership_grants");
           }
         }
         return;
@@ -952,7 +957,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
       // Chain compression: ownership is about to land at new_owner.
       SetHint(m.object, m.page, m.new_owner);
       if (stats_ != nullptr) {
-        stats_->Add("dsm.ivy.invalidated_copies");
+        counters_.invalidated_copies.Add(*stats_, "dsm.ivy.invalidated_copies");
       }
       Send(src, IvyMsgType::kInvalidateAck,
            IvyInvalidate{m.object, m.page, m.new_owner, m.op_id});

@@ -183,6 +183,8 @@ class IvyAgent : public Pager, public ProtocolAgent {
   ObjState& obj_state(const MemObjectId& id);
 
   IvySystem& system_;
+  // Shared with every other node's agent (owned by the system).
+  IvyAgentCounters& counters_;
   NodeVm& vm_;
   FailoverConfig failover_;
   SimSemaphore copy_threads_;

@@ -58,6 +58,19 @@ struct IvyObjectInfo {
   bool IsCopyObject() const { return copy_pager_node != kInvalidNode; }
 };
 
+// Per-request counters of the agents, bound on first use (DESIGN.md §11).
+// The system owns one set for all nodes, so each name binds once per
+// machine and the agents stay small.
+struct IvyAgentCounters {
+  CounterHandle data_requests, data_unlocks, requests, local_serves, forwards,
+      dropped_forwards, parked_requests, owner_requests, read_grants, write_grants,
+      write_upgrade_grants, self_upgrades, ownership_moves, invalidations, invalidated_copies,
+      straggler_ownership_grants, evict_discards, evict_captures, copy_faults, copy_deadlocks,
+      lost_page_faults, lost_page_replies;
+  // Failover.
+  CounterHandle chain_cuts, reissues, shadow_updates, shadow_restreams;
+};
+
 class IvySystem : public DsmSystem {
  public:
   IvySystem(Cluster& cluster, IvyConfig config = {});
@@ -96,6 +109,7 @@ class IvySystem : public DsmSystem {
 
   Cluster& cluster() override { return cluster_; }
   const IvyConfig& config() const { return config_; }
+  IvyAgentCounters& agent_counters() { return agent_counters_; }
   IvyAgent& agent(NodeId node) { return *agents_.at(node); }
 
   IvyObjectInfo& info(const MemObjectId& id);
@@ -119,6 +133,7 @@ class IvySystem : public DsmSystem {
 
   Cluster& cluster_;
   IvyConfig config_;
+  IvyAgentCounters agent_counters_;
   std::vector<std::unique_ptr<IvyAgent>> agents_;
   std::unordered_map<MemObjectId, std::unique_ptr<IvyObjectInfo>> directory_;
   uint32_t next_seq_ = 1;

@@ -19,7 +19,7 @@ void DefaultPager::ReadPage(uint64_t object_serial, PageIndex page,
                  "default pager read of page not in paging space");
   PageBuffer data = ClonePage(it->second[page]);
   if (stats_ != nullptr) {
-    stats_->Add("default_pager.pageins");
+    pageins_.Add(*stats_, "default_pager.pageins");
   }
   ASVM_CHECK_MSG(disk_ != nullptr, "paging without a paging disk");
   disk_->Read(PositionKey(object_serial, page), data->size(),
@@ -36,7 +36,7 @@ void DefaultPager::WritePage(uint64_t object_serial, PageIndex page, PageBuffer 
   }
   slot = ClonePage(data);
   if (stats_ != nullptr) {
-    stats_->Add("default_pager.pageouts");
+    pageouts_.Add(*stats_, "default_pager.pageouts");
   }
   const size_t bytes = data->size();
   disk_->Write(PositionKey(object_serial, page), bytes, [done = std::move(done)]() {
@@ -54,6 +54,16 @@ void DefaultPager::Drop(uint64_t object_serial, PageIndex page) {
   if (it->second.erase(page) > 0) {
     --count_;
   }
+}
+
+void DefaultPager::Rename(uint64_t from, uint64_t to) {
+  auto pages = store_.extract(from);
+  if (pages.empty()) {
+    return;
+  }
+  ASVM_CHECK_MSG(store_.count(to) == 0, "paging-space rename onto a key in use");
+  pages.key() = to;
+  store_.insert(std::move(pages));
 }
 
 }  // namespace asvm

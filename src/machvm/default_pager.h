@@ -37,6 +37,10 @@ class DefaultPager {
   // Discards a paged-out page (object destroyed or page superseded).
   void Drop(uint64_t object_serial, PageIndex page);
 
+  // Re-files every page held under `from` as `to`, which must be unused. A
+  // host-side rename: no disk operation is simulated.
+  void Rename(uint64_t from, uint64_t to);
+
   size_t stored_pages() const { return count_; }
 
  private:
@@ -47,6 +51,8 @@ class DefaultPager {
   Engine& engine_;
   Disk* disk_;
   StatsRegistry* stats_;
+  CounterHandle pageins_;
+  CounterHandle pageouts_;
   std::unordered_map<uint64_t, std::unordered_map<PageIndex, PageBuffer>> store_;
   size_t count_ = 0;
 };

@@ -8,8 +8,8 @@ namespace asvm {
 void Disk::Read(int64_t position, size_t bytes, EventFn done) {
   ++reads_;
   if (stats_ != nullptr) {
-    stats_->Add("disk.reads");
-    stats_->Add("disk.bytes_read", static_cast<int64_t>(bytes));
+    reads_counter_.Add(*stats_, "disk.reads");
+    bytes_read_.Add(*stats_, "disk.bytes_read", static_cast<int64_t>(bytes));
   }
   TraceOp(TraceKind::kDiskRead, position, bytes);
   Access(position, bytes, std::move(done));
@@ -18,8 +18,8 @@ void Disk::Read(int64_t position, size_t bytes, EventFn done) {
 void Disk::Write(int64_t position, size_t bytes, EventFn done) {
   ++writes_;
   if (stats_ != nullptr) {
-    stats_->Add("disk.writes");
-    stats_->Add("disk.bytes_written", static_cast<int64_t>(bytes));
+    writes_counter_.Add(*stats_, "disk.writes");
+    bytes_written_.Add(*stats_, "disk.bytes_written", static_cast<int64_t>(bytes));
   }
   TraceOp(TraceKind::kDiskWrite, position, bytes);
   Access(position, bytes, std::move(done));

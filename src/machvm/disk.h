@@ -52,6 +52,10 @@ class Disk {
   int64_t last_position_ = -100;  // far from any first access
   int64_t reads_ = 0;
   int64_t writes_ = 0;
+  CounterHandle reads_counter_;
+  CounterHandle bytes_read_;
+  CounterHandle writes_counter_;
+  CounterHandle bytes_written_;
 };
 
 }  // namespace asvm

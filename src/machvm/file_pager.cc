@@ -1,6 +1,8 @@
 #include "src/machvm/file_pager.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "src/common/log.h"
 
@@ -37,7 +39,7 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
                          std::function<void(PageBuffer)> done) {
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
   if (stats_ != nullptr) {
-    stats_->Add("file_pager.reads");
+    reads_.Add(*stats_, "file_pager.reads");
   }
   Process([this, file_id, page, page_size, done = std::move(done)]() mutable {
     File& file = files_[file_id];
@@ -55,7 +57,7 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
       // Read-ahead already brought this page into the pager's buffer.
       file.staged.erase(page);
       if (stats_ != nullptr) {
-        stats_->Add("file_pager.readahead_hits");
+        readahead_hits_.Add(*stats_, "file_pager.readahead_hits");
       }
       auto data = AllocPage(page_size);
       FillPattern(file_id, page, *data);
@@ -88,7 +90,7 @@ void FilePager::WritePage(int32_t file_id, PageIndex page, PageBuffer data,
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
   ASVM_CHECK(data != nullptr);
   if (stats_ != nullptr) {
-    stats_->Add("file_pager.writes");
+    writes_.Add(*stats_, "file_pager.writes");
   }
   const size_t bytes = data->size();
   Process([this, file_id, page, bytes, data = std::move(data), done = std::move(done)]() {
@@ -107,7 +109,7 @@ void FilePager::GrantFresh(int32_t file_id, PageIndex page, std::function<void()
   (void)page;
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
   if (stats_ != nullptr) {
-    stats_->Add("file_pager.fresh_grants");
+    fresh_grants_.Add(*stats_, "file_pager.fresh_grants");
   }
   Process([done = std::move(done)]() {
     if (done) {
@@ -117,18 +119,33 @@ void FilePager::GrantFresh(int32_t file_id, PageIndex page, std::function<void()
 }
 
 void FilePager::FillPattern(int32_t file_id, PageIndex page, std::vector<std::byte>& out) {
-  uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(file_id)) << 32) ^
-               static_cast<uint64_t>(page) ^ 0x9e3779b97f4a7c15ULL;
-  for (size_t i = 0; i < out.size(); ++i) {
-    // splitmix64 step per 8 bytes keeps this cheap and deterministic.
-    if (i % 8 == 0) {
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      x = z ^ (z >> 31);
+  // splitmix64 in counter mode: word k is Mix(seed + (k + 1) * gamma), so every
+  // word depends on (file, page, k) alone. No word waits for the one before
+  // it, and each is stored whole.
+  constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  auto mix = [](uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const uint64_t seed = (static_cast<uint64_t>(static_cast<uint32_t>(file_id)) << 32) ^
+                        static_cast<uint64_t>(page) ^ kGamma;
+  const size_t words = out.size() / 8;
+  std::byte* bytes = out.data();
+  for (size_t k = 0; k < words; ++k) {
+    const uint64_t word = mix(seed + (k + 1) * kGamma);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes + 8 * k, &word, 8);
+    } else {
+      for (size_t i = 0; i < 8; ++i) {
+        bytes[8 * k + i] = static_cast<std::byte>(word >> (8 * i));
+      }
     }
-    out[i] = static_cast<std::byte>((x >> ((i % 8) * 8)) & 0xff);
+  }
+  // A partial last word takes the low bytes of word `words`.
+  const uint64_t last = mix(seed + (words + 1) * kGamma);
+  for (size_t i = 8 * words; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(last >> (8 * (i % 8)));
   }
 }
 

@@ -59,7 +59,9 @@ class FilePager {
   // Grants a fresh (zero-fill) page: pager CPU only, no disk.
   void GrantFresh(int32_t file_id, PageIndex page, std::function<void()> done);
 
-  // Deterministic contents of a prefilled page, for integrity checks.
+  // Deterministic contents of a prefilled page, for integrity checks: the
+  // little-endian words of a counter-mode splitmix64 stream seeded by
+  // (file, page). Synthetic; the only definition of a prefilled file's bytes.
   static void FillPattern(int32_t file_id, PageIndex page, std::vector<std::byte>& out);
 
  private:
@@ -84,6 +86,10 @@ class FilePager {
   Disk* disk_;
   FilePagerParams params_;
   StatsRegistry* stats_;
+  CounterHandle reads_;
+  CounterHandle readahead_hits_;
+  CounterHandle writes_;
+  CounterHandle fresh_grants_;
   SimTime cpu_busy_until_ = 0;
   std::vector<File> files_;
 };

@@ -220,7 +220,7 @@ bool NodeVm::PushToLocalCopy(VmObject& source, PageIndex page, const PageBuffer&
   // Pushed pages exist nowhere else from the copy's point of view: dirty.
   InstallPage(*copy, page, ClonePage(pre_write), PageAccess::kWrite, /*dirty=*/true);
   if (stats_ != nullptr) {
-    stats_->Add("vm.local_pushes");
+    counters_.local_pushes.Add(*stats_, "vm.local_pushes");
   }
   return true;
 }
@@ -233,8 +233,12 @@ Future<Status> NodeVm::Fault(VmMap& map, VmOffset addr, PageAccess desired) {
 
 Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<Status> done) {
   if (stats_ != nullptr) {
-    stats_->Add("vm.faults");
-    stats_->Add(desired == PageAccess::kWrite ? "vm.faults_write" : "vm.faults_read");
+    counters_.faults.Add(*stats_, "vm.faults");
+    if (desired == PageAccess::kWrite) {
+      counters_.faults_write.Add(*stats_, "vm.faults_write");
+    } else {
+      counters_.faults_read.Add(*stats_, "vm.faults_read");
+    }
   }
   const uint64_t fault_serial = next_fault_serial_++;
   faults_in_flight_.emplace(fault_serial, InFlightFault{addr, desired, engine_.Now()});
@@ -270,7 +274,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         c.entry->object = std::move(fresh);
         c.entry->needs_copy = false;
         if (stats_ != nullptr) {
-          stats_->Add("vm.shadow_objects");
+          counters_.shadow_objects.Add(*stats_, "vm.shadow_objects");
         }
         co_await Delay(engine_, params_.costs.map_op_ns);
         continue;
@@ -330,7 +334,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         InstallPage(*c.target, c.page, AllocPage(params_.page_size), PageAccess::kWrite,
                     /*dirty=*/desired == PageAccess::kWrite);
         if (stats_ != nullptr) {
-          stats_->Add("vm.zero_fills");
+          counters_.zero_fills.Add(*stats_, "vm.zero_fills");
         }
         continue;
       }
@@ -342,7 +346,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         InstallPage(*c.target, c.page, ClonePage(pre_write), PageAccess::kWrite,
                     /*dirty=*/true);
         if (stats_ != nullptr) {
-          stats_->Add("vm.cow_copies");
+          counters_.cow_copies.Add(*stats_, "vm.cow_copies");
         }
         co_await Delay(engine_, params_.costs.page_copy_ns * (pushed ? 2 : 1));
         continue;
@@ -382,7 +386,7 @@ void NodeVm::DataSupply(VmObject& object, PageIndex page, PageBuffer data, PageA
     if (!CopyHasPage(*copy, page)) {
       InstallPage(*copy, page, std::move(data), PageAccess::kWrite, /*dirty=*/true);
       if (stats_ != nullptr) {
-        stats_->Add("vm.push_supplies");
+        counters_.push_supplies.Add(*stats_, "vm.push_supplies");
       }
     }
     copy->WakeWaiters(page, Status::kOk);
@@ -392,7 +396,7 @@ void NodeVm::DataSupply(VmObject& object, PageIndex page, PageBuffer data, PageA
   object.ClearOutstandingRequest(page);
   object.WakeWaiters(page, Status::kOk);
   if (stats_ != nullptr) {
-    stats_->Add("vm.data_supplies");
+    counters_.data_supplies.Add(*stats_, "vm.data_supplies");
   }
 }
 
@@ -401,7 +405,7 @@ void NodeVm::DataUnavailable(VmObject& object, PageIndex page, PageAccess lock) 
   object.ClearOutstandingRequest(page);
   object.WakeWaiters(page, Status::kOk);
   if (stats_ != nullptr) {
-    stats_->Add("vm.data_unavailable");
+    counters_.data_unavailable.Add(*stats_, "vm.data_unavailable");
   }
 }
 
@@ -438,7 +442,7 @@ void NodeVm::LockRequest(VmObject& object, PageIndex page, PageAccess new_lock, 
     vp->lock = new_lock;
   }
   if (stats_ != nullptr) {
-    stats_->Add("vm.lock_requests");
+    counters_.lock_requests.Add(*stats_, "vm.lock_requests");
   }
   engine_.Schedule(cost, [completed = std::move(completed)]() { completed(LockResult::kDone); });
 }
@@ -446,7 +450,7 @@ void NodeVm::LockRequest(VmObject& object, PageIndex page, PageAccess new_lock, 
 void NodeVm::PullRequest(VmObject& object, PageIndex page,
                          std::function<void(PullResult)> completed) {
   if (stats_ != nullptr) {
-    stats_->Add("vm.pull_requests");
+    counters_.pull_requests.Add(*stats_, "vm.pull_requests");
   }
   VmObject* cur = &object;
   while (cur != nullptr) {
@@ -560,7 +564,7 @@ Status NodeVm::EvictOnePage() {
     PageBuffer data = vp->data;
     const bool dirty = vp->dirty;
     if (stats_ != nullptr) {
-      stats_->Add("vm.pageouts");
+      counters_.pageouts.Add(*stats_, "vm.pageouts");
     }
     if (object->managed()) {
       EvictAction action = object->pager()->OnEvict(*object, ref.page, data, dirty);

@@ -217,6 +217,12 @@ class NodeVm {
   NodeId node_;
   VmParams params_;
   StatsRegistry* stats_;
+  // Fault-path counters, bound on first use (DESIGN.md §11).
+  struct Counters {
+    CounterHandle faults, faults_read, faults_write, shadow_objects, zero_fills, cow_copies,
+        local_pushes, push_supplies, data_supplies, data_unavailable, lock_requests,
+        pull_requests, pageouts;
+  } counters_;
   DefaultPager* default_pager_ = nullptr;
   uint64_t next_serial_ = 1;
   uint64_t tick_ = 1;

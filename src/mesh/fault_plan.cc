@@ -145,7 +145,7 @@ bool FaultPlan::Delivers(NodeId src, NodeId dst, SimTime now) {
   if (stats_ != nullptr) {
     // Aggregate plus per-removed-endpoint attribution, so a multi-removal
     // plan shows which black hole ate the traffic.
-    stats_->Add("fault.messages_dropped");
+    messages_dropped_.Add(*stats_, "fault.messages_dropped");
     if (!src_alive) {
       stats_->Add("fault.messages_dropped.node" + std::to_string(src));
     }
@@ -163,8 +163,8 @@ SimDuration FaultPlan::NextJitter() {
   const SimDuration jitter =
       static_cast<SimDuration>(rng_.NextBelow(static_cast<uint64_t>(params_.max_jitter_ns) + 1));
   if (stats_ != nullptr) {
-    stats_->Add("fault.jitter_messages");
-    stats_->Add("fault.jitter_ns", jitter);
+    jitter_messages_.Add(*stats_, "fault.jitter_messages");
+    jitter_ns_.Add(*stats_, "fault.jitter_ns", jitter);
   }
   return jitter;
 }
@@ -180,7 +180,7 @@ double FaultPlan::LinkBandwidthFactor(NodeId src, NodeId dst) {
     }
   }
   if (factor != 1.0 && stats_ != nullptr) {
-    stats_->Add("fault.degraded_messages");
+    degraded_messages_.Add(*stats_, "fault.degraded_messages");
   }
   return factor;
 }

@@ -113,6 +113,10 @@ class FaultPlan {
   FaultPlanParams params_;
   int node_count_;
   StatsRegistry* stats_;
+  CounterHandle messages_dropped_;
+  CounterHandle jitter_messages_;
+  CounterHandle jitter_ns_;
+  CounterHandle degraded_messages_;
   Rng rng_;
 };
 

@@ -62,8 +62,8 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
   rx_busy_until_[dst] = rx_done;
 
   if (stats_ != nullptr) {
-    stats_->Add("mesh.messages");
-    stats_->Add("mesh.bytes", static_cast<int64_t>(bytes));
+    messages_.Add(*stats_, "mesh.messages");
+    bytes_.Add(*stats_, "mesh.bytes", static_cast<int64_t>(bytes));
   }
   if (jitter != 0 && trace_ != nullptr && trace_->armed()) {
     TraceEvent e;

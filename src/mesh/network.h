@@ -92,6 +92,8 @@ class Network {
   Topology topology_;
   MeshParams params_;
   StatsRegistry* stats_;
+  CounterHandle messages_;
+  CounterHandle bytes_;
   FaultPlan* fault_ = nullptr;
   TraceSink* trace_ = nullptr;
   std::vector<SimTime> tx_busy_until_;

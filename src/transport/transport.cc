@@ -62,19 +62,15 @@ Transport::Handler& Transport::HandlerSlot(ProtocolId protocol, NodeId node) {
   return handlers_[p * cpu_busy_until_.size() + static_cast<size_t>(node)];
 }
 
-std::atomic<int64_t>& Transport::TypeCounter(const Message& msg) {
+void Transport::CountType(const Message& msg) {
   const size_t p = static_cast<size_t>(msg.protocol);
   const size_t t = static_cast<size_t>(msg.type);
   if (p < kMaxProtocols && t < kMaxMsgTypes) {
-    auto& cell = type_counters_[p][t];
-    std::atomic<int64_t>* slot = cell.load(std::memory_order_acquire);
-    if (slot == nullptr) {
-      slot = &stats_->Counter("transport." + name_ + ".msg." + MsgTypeName(msg));
-      cell.store(slot, std::memory_order_release);
-    }
-    return *slot;
+    type_counters_[p][t].Add(
+        *stats_, [&] { return "transport." + name_ + ".msg." + MsgTypeName(msg); });
+    return;
   }
-  return stats_->Counter("transport." + name_ + ".msg.unknown");
+  stats_->Add("transport." + name_ + ".msg.unknown");
 }
 
 SimDuration Transport::SwCost(SimDuration base, NodeId node) {
@@ -86,7 +82,7 @@ SimDuration Transport::SwCost(SimDuration base, NodeId node) {
     return base;
   }
   if (stats_ != nullptr) {
-    stats_->Add("fault.slowed_messages");
+    slowed_messages_.Add(*stats_, "fault.slowed_messages");
   }
   return static_cast<SimDuration>(std::llround(static_cast<double>(base) * factor));
 }
@@ -111,7 +107,7 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
       page_messages_counter_->fetch_add(1, std::memory_order_relaxed);
     }
     if (per_type_stats_) {
-      TypeCounter(msg).fetch_add(1, std::memory_order_relaxed);
+      CountType(msg);
     }
   }
   if (trace_ != nullptr && trace_->armed()) {

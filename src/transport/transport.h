@@ -94,7 +94,7 @@ class Transport {
 
   void Deliver(NodeId src, NodeId dst, Message msg);
   Handler& HandlerSlot(ProtocolId protocol, NodeId node);
-  std::atomic<int64_t>& TypeCounter(const Message& msg);
+  void CountType(const Message& msg);
   SimDuration SwCost(SimDuration base, NodeId node);
   Engine& node_engine(NodeId node) {
     return router_ != nullptr ? router_->engine_for(node) : engine_;
@@ -119,10 +119,8 @@ class Transport {
   std::atomic<int64_t>* bytes_counter_ = nullptr;
   std::atomic<int64_t>* page_messages_counter_ = nullptr;
   bool per_type_stats_ = false;
-  // Lazily-filled pointer cache; atomic because shard threads race the fill.
-  // Both racers resolve to the same registry node, so either store wins.
-  std::array<std::array<std::atomic<std::atomic<int64_t>*>, kMaxMsgTypes>, kMaxProtocols>
-      type_counters_{};
+  std::array<std::array<CounterHandle, kMaxMsgTypes>, kMaxProtocols> type_counters_;
+  CounterHandle slowed_messages_;
   ShardRouter* router_ = nullptr;
   std::vector<std::vector<MeshRecord>>* outboxes_ = nullptr;
 };

@@ -11,6 +11,7 @@ namespace asvm {
 XmmAgent::XmmAgent(XmmSystem& system, NodeId node)
     : ProtocolAgent(system, node, TraceProtocol::kXmm),
       system_(system),
+      counters_(system.agent_counters()),
       vm_(system.cluster().vm(node)),
       failover_(system.cluster().params().failover),
       copy_threads_(system.cluster().engine_for(node), system.config().copy_pager_threads) {
@@ -70,14 +71,14 @@ bool XmmAgent::DescribeStall(std::string& out) const {
 
 void XmmAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired) {
   if (stats_ != nullptr) {
-    stats_->Add("xmm.data_requests");
+    counters_.data_requests.Add(*stats_, "xmm.data_requests");
   }
   SendRequest(object.id(), page, desired, /*has_copy=*/false);
 }
 
 void XmmAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) {
   if (stats_ != nullptr) {
-    stats_->Add("xmm.data_unlocks");
+    counters_.data_unlocks.Add(*stats_, "xmm.data_unlocks");
   }
   SendRequest(object.id(), page, desired, /*has_copy=*/true);
 }
@@ -171,7 +172,7 @@ void XmmAgent::MirrorToBackup(NodeId primary, const MemObjectId& id, PageIndex p
     sent_shadow_[id][page] = ClonePage(data);
   }
   if (stats_ != nullptr) {
-    stats_->Add(kStatShadowUpdates);
+    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
   }
   if (backup == node_) {
     // We are the primary's backup ourselves (eviction redirect): no wire hop.
@@ -199,7 +200,7 @@ void XmmAgent::ReplayShadowLedger(NodeId backup) {
   for (auto& [id, pages] : sent_shadow_) {
     for (auto& [page, buf] : pages) {
       if (stats_ != nullptr) {
-        stats_->Add(kStatShadowRestreams);
+        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
       }
       Send(backup, XmmMsgType::kShadowUpdate, XmmShadowUpdate{id, page}, ClonePage(buf));
       SendShadowManifest(id, page, backup);
@@ -233,7 +234,7 @@ void XmmAgent::ReissueAfterPromotion(const MemObjectId& id, PageIndex page, Page
     system_.PromoteIfManagerDead(id);
     engine().Post([this, id, page, access, has_copy, reuse_op]() {
       if (stats_ != nullptr) {
-        stats_->Add(kStatReissues);
+        counters_.reissues.Add(*stats_, kStatReissues);
       }
       SendRequest(id, page, access, has_copy, reuse_op);
     });
@@ -247,12 +248,12 @@ EvictAction XmmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   // so a re-touch simply re-requests).
   if (!dirty) {
     if (stats_ != nullptr) {
-      stats_->Add("xmm.evict_discards");
+      counters_.evict_discards.Add(*stats_, "xmm.evict_discards");
     }
     return EvictAction::kDiscard;
   }
   if (stats_ != nullptr) {
-    stats_->Add("xmm.evict_returns");
+    counters_.evict_returns.Add(*stats_, "xmm.evict_returns");
   }
   const XmmObjectInfo& info = system_.info(object.id());
   if (info.IsCopyObject()) {
@@ -350,7 +351,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
     co_return;  // promoted away while this request was parked; abandon it
   }
   if (stats_ != nullptr) {
-    stats_->Add("xmm.manager_requests");
+    counters_.manager_requests.Add(*stats_, "xmm.manager_requests");
   }
   Trace(TraceKind::kXmmManagerServe, req.object, req.page, req.origin,
         static_cast<int64_t>(req.access));
@@ -363,7 +364,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
                    /*upgrade=*/false, req.op_id};
     reply.lost = true;
     if (stats_ != nullptr) {
-      stats_->Add("xmm.lost_page_replies");
+      counters_.lost_page_replies.Add(*stats_, "xmm.lost_page_replies");
     }
     Trace(TraceKind::kXmmGrant, req.object, req.page, req.origin, /*aux=*/-1);
     Send(req.origin, XmmMsgType::kReply, reply);
@@ -390,7 +391,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
       if (since >= 0 && engine.Now() >= since + failover_.lease_ns) {
         AccessByte(ms, req.page, writer) = 0;
         if (stats_ != nullptr) {
-          stats_->Add(kStatLeaseReclaims);
+          counters_.lease_reclaims.Add(*stats_, kStatLeaseReclaims);
         }
         Trace(TraceKind::kLeaseReclaim, req.object, req.page, writer);
         writer = kInvalidNode;
@@ -435,7 +436,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
                               [written]() { written.Set(Status::kOk); });
           co_await written.GetFuture();
           if (stats_ != nullptr) {
-            stats_->Add("xmm.dirty_cleanings");
+            counters_.dirty_cleanings.Add(*stats_, "xmm.dirty_cleanings");
           }
           if (Deposed(info)) {
             co_return;
@@ -483,7 +484,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
         Trace(TraceKind::kXmmFlush, req.object, req.page, r, /*aux=*/2, op);
         Send(r, XmmMsgType::kFlushRead, XmmFlush{req.object, req.page, op});
         if (stats_ != nullptr) {
-          stats_->Add("xmm.reader_flushes");
+          counters_.reader_flushes.Add(*stats_, "xmm.reader_flushes");
         }
       }
       ArmOp(op, [this, object = req.object, page = req.page, op, readers]() {
@@ -551,7 +552,11 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
 
   XmmReply reply{req.object, req.page, req.access, zero_fill && !upgrade, upgrade, req.op_id};
   if (stats_ != nullptr) {
-    stats_->Add(req.access == PageAccess::kWrite ? "xmm.write_grants" : "xmm.read_grants");
+    if (req.access == PageAccess::kWrite) {
+      counters_.write_grants.Add(*stats_, "xmm.write_grants");
+    } else {
+      counters_.read_grants.Add(*stats_, "xmm.read_grants");
+    }
   }
   Trace(TraceKind::kXmmGrant, req.object, req.page, req.origin,
         static_cast<int64_t>(req.access));
@@ -580,7 +585,7 @@ Task XmmAgent::CopyFaultTask(NodeId src, XmmCopyFault m) {
     // The chain crossed this node before and every thread is blocked on it:
     // the deadlock the paper describes.
     if (stats_ != nullptr) {
-      stats_->Add("xmm.copy_deadlocks");
+      counters_.copy_deadlocks.Add(*stats_, "xmm.copy_deadlocks");
     }
     Send(src, XmmMsgType::kCopyFaultReply,
          XmmCopyFaultReply{m.object, m.page, false, /*deadlock=*/true});
@@ -589,7 +594,7 @@ Task XmmAgent::CopyFaultTask(NodeId src, XmmCopyFault m) {
   co_await copy_threads_.Acquire();
   co_await StackProcess();
   if (stats_ != nullptr) {
-    stats_->Add("xmm.copy_faults");
+    counters_.copy_faults.Add(*stats_, "xmm.copy_faults");
   }
   Trace(TraceKind::kXmmCopyFault, m.object, m.page, src);
 
@@ -651,7 +656,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
         // replica. Fail the fault — waking the kernel's waiters with an
         // error, never inventing zeros.
         if (stats_ != nullptr) {
-          stats_->Add("xmm.lost_page_faults");
+          counters_.lost_page_faults.Add(*stats_, "xmm.lost_page_faults");
         }
         Trace(TraceKind::kGrantApplied, reply.object, reply.page, src, /*aux=*/-1);
         vm_.FaultFailed(*repr, reply.page, Status::kDataLost);
@@ -685,7 +690,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
       Send(src, XmmMsgType::kFlushWriteReply, reply,
            ex.was_resident ? ClonePage(ex.data) : nullptr);
       if (stats_ != nullptr) {
-        stats_->Add("xmm.write_flushes");
+        counters_.write_flushes.Add(*stats_, "xmm.write_flushes");
       }
       return;
     }

@@ -143,6 +143,8 @@ class XmmAgent : public Pager, public ProtocolAgent {
   // write-flush data/dirty/was_resident ride in PendingOp).
 
   XmmSystem& system_;
+  // Shared with every other node's agent (owned by the system).
+  XmmAgentCounters& counters_;
   NodeVm& vm_;
   FailoverConfig failover_;
   SimSemaphore copy_threads_;

@@ -56,6 +56,17 @@ struct XmmObjectInfo {
   bool IsCopyObject() const { return copy_pager_node != kInvalidNode; }
 };
 
+// Per-request counters of the agents, bound on first use (DESIGN.md §11).
+// The system owns one set for all nodes, so each name binds once per
+// machine and the agents stay small.
+struct XmmAgentCounters {
+  CounterHandle data_requests, data_unlocks, manager_requests, read_grants, write_grants,
+      dirty_cleanings, reader_flushes, write_flushes, evict_discards, evict_returns,
+      copy_faults, copy_deadlocks, lost_page_faults, lost_page_replies;
+  // Failover.
+  CounterHandle lease_reclaims, reissues, shadow_updates, shadow_restreams;
+};
+
 class XmmSystem : public DsmSystem {
  public:
   XmmSystem(Cluster& cluster, XmmConfig config = {});
@@ -94,6 +105,7 @@ class XmmSystem : public DsmSystem {
 
   Cluster& cluster() override { return cluster_; }
   const XmmConfig& config() const { return config_; }
+  XmmAgentCounters& agent_counters() { return agent_counters_; }
   XmmAgent& agent(NodeId node) { return *agents_.at(node); }
 
   XmmObjectInfo& info(const MemObjectId& id);
@@ -115,6 +127,7 @@ class XmmSystem : public DsmSystem {
 
   Cluster& cluster_;
   XmmConfig config_;
+  XmmAgentCounters agent_counters_;
   std::vector<std::unique_ptr<XmmAgent>> agents_;
   std::unordered_map<MemObjectId, std::unique_ptr<XmmObjectInfo>> directory_;
   uint32_t next_seq_ = 1;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -184,6 +187,62 @@ TEST(StatsRegistryTest, ClearResets) {
   stats.Clear();
   EXPECT_EQ(stats.Get("x"), 0);
   EXPECT_EQ(stats.FindHistogram("y"), nullptr);
+}
+
+TEST(CounterHandleTest, CounterAbsentUntilFirstAdd) {
+  StatsRegistry stats;
+  CounterHandle handle;
+  EXPECT_TRUE(stats.counters().empty());
+  EXPECT_EQ(stats.Report(), "");
+  handle.Add(stats, "events");
+  EXPECT_EQ(stats.counters().count("events"), 1u);
+  EXPECT_EQ(stats.Report(), "events = 1\n");
+}
+
+TEST(CounterHandleTest, SharesTheCounterWithStringAdd) {
+  StatsRegistry stats;
+  CounterHandle handle;
+  stats.Add("shared", 2);
+  handle.Add(stats, "shared", 3);
+  handle.Add(stats, "shared");
+  stats.Add("shared");
+  EXPECT_EQ(stats.Get("shared"), 7);
+  EXPECT_EQ(stats.counters().size(), 1u);
+}
+
+TEST(CounterHandleTest, BuildsACallableNameOnlyToBind) {
+  StatsRegistry stats;
+  CounterHandle handle;
+  int builds = 0;
+  auto name = [&builds] {
+    ++builds;
+    return std::string("built.") + "name";
+  };
+  for (int i = 0; i < 3; ++i) {
+    handle.Add(stats, name);
+  }
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(stats.Get("built.name"), 3);
+}
+
+TEST(CounterHandleTest, ConcurrentAddsThroughOneUnboundHandleSumExactly) {
+  StatsRegistry stats;
+  CounterHandle handle;
+  constexpr int kThreads = 4;
+  constexpr int kAdds = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&stats, &handle] {
+      for (int i = 0; i < kAdds; ++i) {
+        handle.Add(stats, "racy");
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(stats.Get("racy"), int64_t{kThreads} * kAdds);
+  EXPECT_EQ(stats.counters().size(), 1u);
 }
 
 }  // namespace

@@ -90,6 +90,55 @@ INSTANTIATE_TEST_SUITE_P(BothSystems, MachineBothSystems,
                            return std::string(ToString(info.param));
                          });
 
+class MachineAllSystems : public ::testing::TestWithParam<DsmKind> {};
+
+// A private region that paged out before its first remote fork: the pages
+// paging space holds must survive the export, in the parent and the child.
+TEST_P(MachineAllSystems, RemoteForkAfterPageoutKeepsPagedOutPages) {
+  MachineConfig config = TestConfig(GetParam(), 4);
+  config.user_memory_bytes = 64 * config.page_size;
+  Machine machine(config);
+  constexpr VmSize kPages = 48;
+  const size_t page = config.page_size;
+  auto value = [](VmSize p) { return 1000 + p; };
+
+  TaskMemory& parent = machine.CreatePrivateTask(0, kPages);
+  for (VmSize p = 0; p < kPages; ++p) {
+    auto w = parent.WriteU64(p * page, value(p));
+    machine.Run();
+    ASSERT_TRUE(w.ready());
+  }
+  // A second region of the same size pushes the parent's oldest pages out.
+  TaskMemory& filler = machine.CreatePrivateTask(0, kPages);
+  for (VmSize p = 0; p < kPages; ++p) {
+    auto w = filler.WriteU64(p * page, 1);
+    machine.Run();
+    ASSERT_TRUE(w.ready());
+  }
+  ASSERT_EQ(machine.stats().Get("vm.pageouts"), 32);
+
+  auto fork = machine.RemoteFork(0, parent, 1);
+  machine.Run();
+  ASSERT_TRUE(fork.ready());
+  TaskMemory& child = machine.WrapMap(1, fork.value());
+  for (TaskMemory* mem : {&child, &parent}) {
+    int wrong = 0;
+    for (VmSize p = 0; p < kPages; ++p) {
+      auto r = mem->ReadU64(p * page);
+      machine.Run();
+      ASSERT_TRUE(r.ready());
+      wrong += r.value() != value(p);
+    }
+    EXPECT_EQ(wrong, 0) << (mem == &child ? "child" : "parent") << " pages read wrong";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, MachineAllSystems,
+                         ::testing::Values(DsmKind::kAsvm, DsmKind::kXmm, DsmKind::kIvy),
+                         [](const ::testing::TestParamInfo<DsmKind>& info) {
+                           return std::string(ToString(info.param));
+                         });
+
 TEST(MachineConfigTest, ParagonDefaults) {
   MachineConfig config;
   EXPECT_EQ(config.page_size, 8192u);

@@ -2,6 +2,9 @@
 // disk timing, and the default/file pagers.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "src/machvm/default_pager.h"
 #include "src/machvm/disk.h"
 #include "src/machvm/file_pager.h"
@@ -287,6 +290,76 @@ TEST_F(FilePagerTest, ReadAheadOffMatchesLegacyBehaviour) {
     engine_.Run();
   }
   EXPECT_EQ(disk_.reads(), 8);
+}
+
+// Reference for FillPattern, written out independently: word k of (file, page)
+// is splitmix64's output for counter k + 1 from the (file, page) seed.
+uint64_t SplitMix64Word(int32_t file_id, PageIndex page, uint64_t k) {
+  constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  const uint64_t seed = (static_cast<uint64_t>(static_cast<uint32_t>(file_id)) << 32) ^
+                        static_cast<uint64_t>(page) ^ kGamma;
+  uint64_t z = seed + (k + 1) * kGamma;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// The little-endian value of `n` bytes at `p`.
+uint64_t LoadLittleEndian(const std::byte* p, size_t n) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < n; ++i) {
+    value |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return value;
+}
+
+TEST(FillPatternTest, IsDeterministic) {
+  std::vector<std::byte> a(8192);
+  std::vector<std::byte> b(8192, std::byte{0xAB});
+  FilePager::FillPattern(3, 17, a);
+  FilePager::FillPattern(3, 17, b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(FillPatternTest, EveryWordMatchesSplitMix64) {
+  for (int32_t file : {0, 1, 7}) {
+    for (PageIndex page : {0, 1, 511}) {
+      std::vector<std::byte> out(8192);
+      FilePager::FillPattern(file, page, out);
+      for (uint64_t k = 0; k < out.size() / 8; ++k) {
+        ASSERT_EQ(LoadLittleEndian(&out[8 * k], 8), SplitMix64Word(file, page, k))
+            << "file " << file << " page " << page << " word " << k;
+      }
+    }
+  }
+}
+
+TEST(FillPatternTest, PartialWordTakesLowBytesOfNextWord) {
+  for (size_t size : {1, 7, 9, 4097}) {
+    std::vector<std::byte> out(size);
+    FilePager::FillPattern(2, 5, out);
+    const size_t words = size / 8;
+    for (uint64_t k = 0; k < words; ++k) {
+      ASSERT_EQ(LoadLittleEndian(&out[8 * k], 8), SplitMix64Word(2, 5, k)) << size;
+    }
+    const size_t tail = size % 8;
+    ASSERT_GT(tail, 0u);
+    const uint64_t mask = (uint64_t{1} << (8 * tail)) - 1;
+    EXPECT_EQ(LoadLittleEndian(&out[8 * words], tail), SplitMix64Word(2, 5, words) & mask)
+        << size;
+  }
+}
+
+TEST(FillPatternTest, PagesArePairwiseDistinct) {
+  std::set<std::vector<std::byte>> pages;
+  for (int32_t file = 0; file < 3; ++file) {
+    for (PageIndex page = 0; page < 512; ++page) {
+      std::vector<std::byte> out(8192);
+      FilePager::FillPattern(file, page, out);
+      pages.insert(std::move(out));
+    }
+  }
+  EXPECT_EQ(pages.size(), 3u * 512);
 }
 
 TEST_F(FilePagerTest, SequentialReadsAreFasterThanRandom) {
