@@ -15,8 +15,7 @@ AsvmAgent::AsvmAgent(AsvmSystem& system, NodeId node)
     : ProtocolAgent(system, node, TraceProtocol::kAsvm),
       system_(system),
       counters_(system.agent_counters()),
-      vm_(system.cluster().vm(node)),
-      failover_(system.cluster().params().failover) {
+      vm_(system.cluster().vm(node)) {
   Transport& main_transport = system.config().use_norma_transport
                                   ? static_cast<Transport&>(system_.cluster().norma())
                                   : static_cast<Transport&>(system_.cluster().sts());
@@ -138,13 +137,7 @@ bool AsvmAgent::DescribeStall(std::string& out) const {
   bool blocked = ProtocolAgent::DescribeStall(out);
   // Coherency state of pages stuck mid-transition (busy or pending) and the
   // requests parked behind them. Objects are sorted for determinism.
-  std::vector<MemObjectId> ids;
-  ids.reserve(objects_.size());
-  for (const auto& [id, os] : objects_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(objects_)) {
     const ObjectState& os = *objects_.at(id);
     os.pages.ForEach([&](PageIndex page, const PageState& ps) {
       if (!ps.busy && !ps.pending && ps.queue.empty()) {
@@ -496,27 +489,12 @@ void AsvmAgent::Send(NodeId to, AsvmMsgType type, AsvmBody body, PageBuffer page
   }
 }
 
+void AsvmAgent::SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) {
+  Send(to, manifest ? AsvmMsgType::kShadowManifest : AsvmMsgType::kShadowUpdate, m,
+       std::move(page));
+}
+
 // --- Failover (DESIGN.md §14) ---------------------------------------------------
-
-bool AsvmAgent::NodeDead(NodeId node) {
-  if (!failover_.enabled || node == kInvalidNode) {
-    return false;
-  }
-  const FaultPlan* plan = system_.cluster().fault_plan();
-  return plan != nullptr && !plan->NodeAlive(node, engine().Now());
-}
-
-bool AsvmAgent::LeaseExpired(NodeId owner) {
-  if (!failover_.enabled || owner == kInvalidNode) {
-    return false;
-  }
-  const FaultPlan* plan = system_.cluster().fault_plan();
-  if (plan == nullptr) {
-    return false;
-  }
-  const SimTime since = plan->RemovedSince(owner, engine().Now());
-  return since >= 0 && engine().Now() >= since + failover_.lease_ns;
-}
 
 void AsvmAgent::SendToTerminal(AccessRequest req) {
   AsvmObjectInfo& info = system_.info(req.search);
@@ -540,6 +518,21 @@ void AsvmAgent::SendToTerminal(AccessRequest req) {
   });
 }
 
+namespace {
+
+// `req` as a fresh walk from its origin: no hops taken, off the ring, not yet
+// bound for the terminal.
+AccessRequest Restarted(AccessRequest req) {
+  req.hops = 0;
+  req.ring = false;
+  req.ring_pos = 0;
+  req.ring_left = 0;
+  req.to_terminal = false;
+  return req;
+}
+
+}  // namespace
+
 void AsvmAgent::ArmRequest(const AccessRequest& req) {
   if (!ArmsRequests()) {
     return;
@@ -548,7 +541,14 @@ void AsvmAgent::ArmRequest(const AccessRequest& req) {
   if (PendingOp* op = FindOp(req.req_id); op != nullptr) {
     const AsvmObjectInfo& info = system_.info(req.target);
     op->targets = {info.Terminal(req.page)};
-    op->on_fail = [this, req](Status) { ReissueAfterPromotion(req); };
+    op->on_fail = [this, req](Status) {
+      ReissueAfter([this, target = req.target]() { system_.PromoteIfHomeDead(target); },
+                   [this, req]() {
+                     AccessRequest fresh = Restarted(req);
+                     ArmRequest(fresh);
+                     HandleRequest(std::move(fresh));
+                   });
+    };
   }
   ArmOp(req.req_id, [this, req]() {
     // The terminal is the authority of last resort; re-point the op's
@@ -558,104 +558,8 @@ void AsvmAgent::ArmRequest(const AccessRequest& req) {
       const AsvmObjectInfo& info = system_.info(req.target);
       op->targets = {info.Terminal(req.page)};
     }
-    AccessRequest fresh = req;
-    fresh.hops = 0;
-    fresh.ring = false;
-    fresh.ring_pos = 0;
-    fresh.ring_left = 0;
-    fresh.to_terminal = false;
-    HandleRequest(std::move(fresh));
+    HandleRequest(Restarted(req));
   });
-}
-
-void AsvmAgent::ReissueAfterPromotion(const AccessRequest& req) {
-  system_.cluster().mutator().Enqueue(node_, [this, req]() {
-    system_.PromoteIfHomeDead(req.target);
-    engine().Post([this, req]() {
-      if (stats_ != nullptr) {
-        counters_.reissues.Add(*stats_, kStatReissues);
-      }
-      AccessRequest fresh = req;
-      fresh.hops = 0;
-      fresh.ring = false;
-      fresh.ring_pos = 0;
-      fresh.ring_left = 0;
-      fresh.to_terminal = false;
-      ArmRequest(fresh);
-      HandleRequest(std::move(fresh));
-    });
-  });
-}
-
-void AsvmAgent::MirrorToBackup(const MemObjectId& id, PageIndex page, uint64_t version,
-                               const PageBuffer& data) {
-  if (!failover_.enabled) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(node_, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    return;  // no other node alive to shadow into
-  }
-  // Stranded-shadow repair: if the ring rule now names a different backup than
-  // the one this stream has been feeding (the old one died, or rejoined with
-  // cold caches), replay the whole ledger there before the new update. In a
-  // healthy run the target never changes, so this costs nothing.
-  if (backup != shadow_target_ && shadow_target_ != kInvalidNode) {
-    ReplayShadowLedger(backup);
-  }
-  shadow_target_ = backup;
-  auto& sent = sent_shadow_[id][page];
-  sent.version = version;
-  sent.data = ClonePage(data);
-  if (stats_ != nullptr) {
-    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
-  }
-  Send(backup, AsvmMsgType::kShadowUpdate, AsvmShadowUpdate{id, page, version},
-       ClonePage(data));
-  SendShadowManifest(id, page, version, backup);
-}
-
-void AsvmAgent::SendShadowManifest(const MemObjectId& id, PageIndex page, uint64_t version,
-                                   NodeId backup) {
-  // The witness is the backup's own successor: a control-only record that the
-  // page was committed, surviving the simultaneous loss of primary + backup so
-  // promotion can answer kDataLost instead of zero-filling (DESIGN.md §14).
-  const NodeId witness = RingSuccessor(backup, system_.cluster().node_count(),
-                                       system_.cluster().fault_plan(), engine().Now());
-  if (witness == kInvalidNode || witness == node_) {
-    return;  // two-node cluster: the primary itself is the only other survivor
-  }
-  Send(witness, AsvmMsgType::kShadowManifest, AsvmShadowUpdate{id, page, version});
-}
-
-void AsvmAgent::ReplayShadowLedger(NodeId backup) {
-  for (auto& [id, pages] : sent_shadow_) {
-    for (auto& [page, sp] : pages) {
-      if (stats_ != nullptr) {
-        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
-      }
-      Send(backup, AsvmMsgType::kShadowUpdate, AsvmShadowUpdate{id, page, sp.version},
-           ClonePage(sp.data));
-      SendShadowManifest(id, page, sp.version, backup);
-    }
-  }
-}
-
-void AsvmAgent::RetargetShadowStream(NodeId dead) {
-  if (!failover_.enabled || shadow_target_ != dead || sent_shadow_.empty()) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(node_, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    shadow_target_ = kInvalidNode;
-    return;
-  }
-  shadow_target_ = backup;
-  // Called from a death-notice mutation (all engines quiescent): the replay
-  // sends are ordinary engine work, so post them onto this node's timeline.
-  engine().Post([this, backup]() { ReplayShadowLedger(backup); });
 }
 
 void AsvmAgent::NotifyHomeOwner(const MemObjectId& id, PageIndex page, NodeId new_owner) {

@@ -155,54 +155,15 @@ class AsvmAgent : public Pager, public ProtocolAgent {
 
   // --- Failover (DESIGN.md §14) ---------------------------------------------
 
-  // Origin requests carry a pending-op entry when failover + retries are on,
-  // so home silence is classified kNodeDown and triggers promotion.
-  bool ArmsRequests() const { return failover_.enabled && retry_policy().timeout_ns > 0; }
-
-  // True when the fault plan confirms `node` removed right now (failover on).
-  // Routing tiers skip dead hints/ring stops and escalate dead terminals.
-  bool NodeDead(NodeId node);
-
-  // True when `owner` is confirmed removed and has been for at least the
-  // configured lease — the terminal may then reclaim its pages.
-  bool LeaseExpired(NodeId owner);
-
   // Routes `req` to its forwarding terminal. If the terminal is confirmed
   // dead, promotes its backup at the next sequencing point and resumes the
   // request toward the new terminal.
   void SendToTerminal(AccessRequest req);
 
   // Registers the request in the pending-op table (targets = the current
-  // terminal) and arms its deadline; kNodeDown runs ReissueAfterPromotion.
+  // terminal) and arms its deadline. On kNodeDown the dead home's backup is
+  // promoted and the request replayed from scratch against the new terminal.
   void ArmRequest(const AccessRequest& req);
-
-  // kNodeDown recovery: promote the dead home's backup as a cluster mutation,
-  // then replay the request from scratch against the new terminal.
-  void ReissueAfterPromotion(const AccessRequest& req);
-
-  // Streams a written-back dirty page to this home's backup (first alive ring
-  // successor) so the contents survive a later promotion. No-op with failover
-  // disabled or no other node alive. Also records the page in the primary-side
-  // ledger and sends a control-only commit witness to the second successor.
-  void MirrorToBackup(const MemObjectId& id, PageIndex page, uint64_t version,
-                      const PageBuffer& data);
-
-  // Replays the whole sent-shadow ledger to `backup`. Runs when the shadow
-  // target changed under us (the old backup died, or died and rejoined with
-  // cold caches) — without the replay everything streamed so far would be
-  // stranded on the dead backup and the next promotion would lose it.
-  void ReplayShadowLedger(NodeId backup);
-
-  // Death-notice hook: if `dead` was this home's shadow target, re-target the
-  // stream at the new ring successor and replay the ledger there. Called from
-  // the death-notice mutation (engines quiescent); the sends are posted.
-  void RetargetShadowStream(NodeId dead);
-
-  // Commit witness (no page payload) to the second alive successor, so a
-  // promotion that finds nothing can still tell "never written" apart from
-  // "written and lost".
-  void SendShadowManifest(const MemObjectId& id, PageIndex page, uint64_t version,
-                          NodeId backup);
 
   // Terminal answer for a page promotion marked lost: the origin fails the
   // fault Status::kDataLost.
@@ -251,6 +212,7 @@ class AsvmAgent : public Pager, public ProtocolAgent {
   // --- Message handlers ---------------------------------------------------------
 
   void OnMessage(NodeId src, Message msg) override;
+  void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) override;
 
   // Stall-watchdog probe: base pending ops plus the coherency state of pages
   // stuck busy/pending and the depth of their parked request queues.
@@ -274,23 +236,6 @@ class AsvmAgent : public Pager, public ProtocolAgent {
   // Shared with every other node's agent (owned by the system).
   AsvmAgentCounters& counters_;
   NodeVm& vm_;
-  FailoverConfig failover_;
-  // Backup role: newest shadowed writeback per page, streamed from homes whose
-  // ring successor this node is. Ordered maps so promotion seeds the recovered
-  // overlay in a shard-count-invariant order.
-  struct ShadowPage {
-    uint64_t version = 0;
-    PageBuffer data;
-  };
-  std::map<MemObjectId, std::map<PageIndex, ShadowPage>> shadow_;
-  // Primary-side ledger of everything this node mirrored as a home, plus the
-  // node the last mirror went to. When that backup dies the ledger replays to
-  // the new ring successor (see RetargetShadowStream / ReplayShadowLedger).
-  std::map<MemObjectId, std::map<PageIndex, ShadowPage>> sent_shadow_;
-  NodeId shadow_target_ = kInvalidNode;
-  // Witness role: pages some home committed, recorded without contents.
-  // Promotion consults every survivor's manifest before declaring kDataLost.
-  std::map<MemObjectId, std::set<PageIndex>> shadow_manifest_;
   std::unordered_map<MemObjectId, std::unique_ptr<ObjectState>> objects_;
   std::unordered_map<uint64_t, Promise<bool>> scan_waiters_;  // push-scan replies
 };

@@ -207,10 +207,8 @@ Task AsvmAgent::InvalidateReaders(MemObjectId id, PageIndex page, NodeId except,
     done.Set(Status::kOk);
     co_return;
   }
-  const uint64_t op = OpenOp(static_cast<int>(targets.size()), "invalidate-round", id, page);
-  if (PendingOp* pending = FindOp(op); pending != nullptr) {
-    pending->targets = targets;  // a dead reader resolves kNodeDown, not a wedge
-  }
+  // A dead reader resolves the round kNodeDown, not a wedge.
+  const uint64_t op = OpenRound(targets, "invalidate-round", id, page);
   Future<Status> all_acked = OpFuture(op);
   for (NodeId r : targets) {
     Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
@@ -219,14 +217,8 @@ Task AsvmAgent::InvalidateReaders(MemObjectId id, PageIndex page, NodeId except,
       counters_.invalidations.Add(*stats_, "asvm.invalidations");
     }
   }
-  ArmOp(op, [this, id, page, op, targets]() {
-    const PendingOp* pending = FindOp(op);
-    for (NodeId r : targets) {
-      if (pending != nullptr && Contains(pending->acked, r)) {
-        continue;  // already answered; only re-ask the silent readers
-      }
-      Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
-    }
+  ArmRound(op, [this, id, page, op](NodeId r) {
+    Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
   });
   const Status s = co_await all_acked;
   done.Set(s);
@@ -511,17 +503,12 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
       counters_.recovered_serves.Add(*stats_, "asvm.recovered_serves");
     }
   } else if (info.backing->HasData(req.page)) {
-    Promise<PageBuffer> read_done(vm_.engine());
-    info.backing->Read(req.page, vm_.page_size(),
-                       [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
-    data = co_await read_done.GetFuture();
+    data = co_await info.backing->ReadAsync(vm_.engine(), req.page, vm_.page_size());
     if (stats_ != nullptr) {
       counters_.backing_reads.Add(*stats_, "asvm.backing_reads");
     }
   } else {
-    Promise<Status> grant_done(vm_.engine());
-    info.backing->GrantFresh(req.page, [grant_done]() { grant_done.Set(Status::kOk); });
-    co_await grant_done.GetFuture();
+    co_await info.backing->GrantFreshAsync(vm_.engine(), req.page);
     if (stats_ != nullptr) {
       counters_.fresh_grants.Add(*stats_, "asvm.fresh_grants");
     }

@@ -56,10 +56,8 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     if (r == node_) {
       continue;
     }
-    const uint64_t op = OpenOp(1, "ownership-offer", id, page);
-    if (PendingOp* pending = FindOp(op); pending != nullptr) {
-      pending->targets = {r};  // a dead reader resolves kNodeDown (= declined)
-    }
+    // A dead reader resolves the offer kNodeDown (= declined).
+    const uint64_t op = OpenRound({r}, "ownership-offer", id, page);
     Future<Status> replied = OpFuture(op);
     std::vector<NodeId> remaining;
     for (NodeId other : readers) {
@@ -110,10 +108,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     }
   }
   for (NodeId target : candidates) {
-    const uint64_t op = OpenOp(1, "pageout-offer", id, page);
-    if (PendingOp* pending = FindOp(op); pending != nullptr) {
-      pending->targets = {target};
-    }
+    const uint64_t op = OpenRound({target}, "pageout-offer", id, page);
     Future<Status> replied = OpFuture(op);
     Send(target, AsvmMsgType::kPageoutOffer, PageoutOffer{id, page, version, dirty, op},
          ClonePage(data));
@@ -170,7 +165,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
       });
       co_await promoted.GetFuture();
       if (stats_ != nullptr) {
-        counters_.reissues.Add(*stats_, kStatReissues);
+        system_.failover_counters().reissues.Add(*stats_, kStatReissues);
       }
       continue;
     }
@@ -254,7 +249,7 @@ void AsvmAgent::OnWriteback(NodeId src, const WritebackMsg& m, PageBuffer data) 
   os.recovered.Erase(m.page);
   os.lost.erase(m.page);
   if (failover_.enabled && m.dirty && !info.IsCopy() && !info.file_backed) {
-    MirrorToBackup(m.object, m.page, m.page_version, data);
+    shadow().MirrorToBackup(node_, m.object, m.page, m.page_version, data);
   }
 
   auto finish = [this, src, m]() {
@@ -372,26 +367,16 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
     }
   }
   if (!targets.empty()) {
-    const uint64_t op = OpenOp(static_cast<int>(targets.size()), "push-round", id, page);
-    if (PendingOp* pending = FindOp(op); pending != nullptr) {
-      pending->targets = targets;  // dead sharers resolve kNodeDown, not a wedge
-    }
+    // Dead sharers resolve the round kNodeDown, not a wedge.
+    const uint64_t op = OpenRound(targets, "push-round", id, page);
     Future<Status> all_replied = OpFuture(op);
     const NodeId copy_peer = copy_info.peer;
     for (NodeId s : targets) {
       Send(s, AsvmMsgType::kPushRequest,
            PushRequest{id, page, /*push_into_copy=*/s == copy_peer, op});
     }
-    ArmOp(op, [this, id, page, op, targets, copy_peer]() {
-      const PendingOp* pending = FindOp(op);
-      for (NodeId s : targets) {
-        if (pending != nullptr &&
-            std::find(pending->acked.begin(), pending->acked.end(), s) !=
-                pending->acked.end()) {
-          continue;
-        }
-        Send(s, AsvmMsgType::kPushRequest, PushRequest{id, page, s == copy_peer, op});
-      }
+    ArmRound(op, [this, id, page, op, copy_peer](NodeId s) {
+      Send(s, AsvmMsgType::kPushRequest, PushRequest{id, page, s == copy_peer, op});
     });
     co_await all_replied;
 
@@ -403,25 +388,13 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
       EraseOp(op);
     }
     if (!need_data.empty()) {
-      const uint64_t op2 =
-          OpenOp(static_cast<int>(need_data.size()), "push-data-round", id, page);
-      if (PendingOp* pending2 = FindOp(op2); pending2 != nullptr) {
-        pending2->targets = need_data;
-      }
+      const uint64_t op2 = OpenRound(need_data, "push-data-round", id, page);
       Future<Status> all_acked = OpFuture(op2);
       for (NodeId s : need_data) {
         Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, ClonePage(pre_write));
       }
-      ArmOp(op2, [this, id, page, op2, need_data, pre_write]() {
-        const PendingOp* pending2 = FindOp(op2);
-        for (NodeId s : need_data) {
-          if (pending2 != nullptr &&
-              std::find(pending2->acked.begin(), pending2->acked.end(), s) !=
-                  pending2->acked.end()) {
-            continue;
-          }
-          Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, ClonePage(pre_write));
-        }
+      ArmRound(op2, [this, id, page, op2, pre_write](NodeId s) {
+        Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, ClonePage(pre_write));
       });
       co_await all_acked;
     }
@@ -612,18 +585,12 @@ void AsvmAgent::OnMessage(NodeId src, Message msg) {
     case AsvmMsgType::kStaticHint:
       OnStaticHint(std::get<StaticHintMsg>(body));
       return;
-    case AsvmMsgType::kShadowUpdate: {
-      const auto& m = std::get<AsvmShadowUpdate>(body);
-      auto& sp = shadow_[m.object][m.page];
-      sp.version = m.version;
-      sp.data = std::move(msg.page);
+    case AsvmMsgType::kShadowUpdate:
+      shadow().OnUpdate(std::get<ShadowUpdate>(body), std::move(msg.page));
       return;
-    }
-    case AsvmMsgType::kShadowManifest: {
-      const auto& m = std::get<AsvmShadowUpdate>(body);
-      shadow_manifest_[m.object].insert(m.page);
+    case AsvmMsgType::kShadowManifest:
+      shadow().OnManifest(std::get<ShadowUpdate>(body));
       return;
-    }
   }
   ASVM_CHECK_MSG(false, "unknown ASVM message type");
 }

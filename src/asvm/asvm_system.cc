@@ -259,6 +259,8 @@ size_t AsvmSystem::MetadataBytes(NodeId node) const {
   return agents_.at(node)->MetadataBytes();
 }
 
+ProtocolAgent& AsvmSystem::protocol_agent(NodeId node) { return agent(node); }
+
 // --- Failover ----------------------------------------------------------------
 
 void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
@@ -424,13 +426,14 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
       const auto* rp0 = hs.recovered.Find(p);
       const bool have_source = (hp0 != nullptr && hp0->owner_exists) ||
                                (rp0 != nullptr && rp0->data != nullptr);
-      AsvmAgent::ShadowPage* best = nullptr;
+      ShadowStream::Page* best = nullptr;
       for (NodeId n = 0; n < cluster_.node_count(); ++n) {
         if (have_source || !plan->NodeAlive(n, now)) {
           continue;
         }
-        auto sit = agent(n).shadow_.find(id);
-        if (sit == agent(n).shadow_.end()) {
+        ShadowStream::Store& store = agent(n).shadow().backup_store();
+        auto sit = store.find(id);
+        if (sit == store.end()) {
           continue;
         }
         auto pit = sit->second.find(p);
@@ -452,10 +455,11 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
         if (!plan->NodeAlive(n, now)) {
           continue;
         }
-        if (auto sit = agent(n).shadow_.find(id); sit != agent(n).shadow_.end()) {
+        ShadowStream::Store& store = agent(n).shadow().backup_store();
+        if (auto sit = store.find(id); sit != store.end()) {
           sit->second.erase(p);
           if (sit->second.empty()) {
-            agent(n).shadow_.erase(sit);
+            store.erase(sit);
           }
         }
       }
@@ -479,22 +483,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
       if (const auto* rp = hs.recovered.Find(p); rp != nullptr && rp->data != nullptr) {
         continue;
       }
-      bool committed = false;
-      for (NodeId n = 0; n < cluster_.node_count() && !committed; ++n) {
-        if (!plan->NodeAlive(n, now)) {
-          continue;
-        }
-        AsvmAgent& a = agent(n);
-        if (auto mit = a.shadow_manifest_.find(id); mit != a.shadow_manifest_.end()) {
-          committed = mit->second.count(p) != 0;
-        }
-        if (!committed) {
-          if (auto lit = a.sent_shadow_.find(id); lit != a.sent_shadow_.end()) {
-            committed = lit->second.count(p) != 0;
-          }
-        }
-      }
-      if (committed && hs.lost.insert(p).second) {
+      if (SurvivorWitnessedCommit(id, p) && hs.lost.insert(p).second) {
         cluster_.stats().Add(kStatLostPages);
       }
     }
@@ -509,14 +498,14 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
     // pages until the next writeback, so mirror it onward to the new home's
     // own backup. The sends are ordinary engine work — post them.
     AsvmAgent* nh = &backup;
-    cluster_.engine_for(new_home).Post([nh, id]() {
+    cluster_.engine_for(new_home).Post([nh, new_home, id]() {
       AsvmAgent::ObjectState* os = nh->FindObjState(id);
       if (os == nullptr) {
         return;
       }
       os->recovered.ForEach([&](PageIndex p, AsvmAgent::ObjectState::RecoveredPage& rp) {
         if (rp.data != nullptr) {
-          nh->MirrorToBackup(id, p, rp.version, rp.data);
+          nh->shadow().MirrorToBackup(new_home, id, p, rp.version, rp.data);
         }
       });
     });
@@ -531,13 +520,7 @@ void AsvmSystem::ColdRestart(NodeId node) {
   AsvmAgent& a = agent(node);
   NodeVm& vm = cluster_.vm(node);
 
-  std::vector<MemObjectId> ids;
-  ids.reserve(a.objects_.size());
-  for (const auto& [id, os] : a.objects_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(a.objects_)) {
     AsvmAgent::ObjectState& os = *a.objects_.at(id);
     AsvmObjectInfo& obj = info(id);
 
@@ -587,63 +570,14 @@ void AsvmSystem::ColdRestart(NodeId node) {
     os.last_pageout_accept = kInvalidNode;
 
     if (os.repr != nullptr) {
-      std::vector<PageIndex> pages;
-      pages.reserve(os.repr->resident_pages().size());
-      for (const auto& [page, vp] : os.repr->resident_pages()) {
-        pages.push_back(page);
-      }
-      std::sort(pages.begin(), pages.end());
-      for (PageIndex page : pages) {
+      for (PageIndex page : SortedKeys(os.repr->resident_pages())) {
         vm.RemovePage(*os.repr, page);
       }
     }
   }
   // Any shadow state this node held as a backup — and any ledger/manifest it
   // kept as a primary or witness — is equally volatile.
-  a.shadow_.clear();
-  a.sent_shadow_.clear();
-  a.shadow_manifest_.clear();
-  a.shadow_target_ = kInvalidNode;
-  // A rejoined node can die again later; its next death must gossip afresh.
-  death_noticed_.erase(node);
-}
-
-void AsvmSystem::ReportDeath(NodeId reporter, NodeId dead) {
-  const FailoverConfig& fo = cluster_.params().failover;
-  if (!fo.enabled || !fo.death_notices) {
-    return;  // A/B baseline: every agent pays its own detection horizon
-  }
-  // The notice applies at the next barrier, stamped at the reporter's clock —
-  // ordered against every other cluster mutation, so all shard counts see the
-  // same interleaving. Dedup happens at apply time (two agents may confirm the
-  // same death in one window).
-  cluster_.mutator().Enqueue(reporter, [this, dead]() { ApplyDeathNotice(dead); });
-}
-
-void AsvmSystem::ApplyDeathNotice(NodeId dead) {
-  cluster_.AssertDriverQuiescent("ASVM death notice from inside a shard window");
-  FaultPlan* plan = cluster_.fault_plan();
-  const SimTime now = cluster_.Now();
-  if (plan == nullptr || plan->NodeAlive(dead, now)) {
-    return;  // stale notice: the victim already rejoined
-  }
-  if (!death_noticed_.insert(dead).second) {
-    return;  // first notice wins
-  }
-  cluster_.stats().Add(kStatDeathNotices);
-  ASVM_LOG_WARN << "asvm: death notice for node " << dead;
-  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (n == dead || !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    AsvmAgent& a = agent(n);
-    // Order matters: re-target the shadow stream first so the replay target
-    // computed below never points at the node being buried, then fail every
-    // pending op against the victim (cancels remaining backoff immediately —
-    // no second detection horizon).
-    a.RetargetShadowStream(dead);
-    a.FailOpsOnDeadTargets();
-  }
+  ResetFailoverState(node);
 }
 
 void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {

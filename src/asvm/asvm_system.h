@@ -13,7 +13,6 @@
 #define SRC_ASVM_ASVM_SYSTEM_H_
 
 #include <memory>
-#include <set>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -106,8 +105,6 @@ struct AsvmAgentCounters {
   CounterHandle evict_discards, evict_owner, evict_ownership_transfers, evict_page_transfers,
       evict_writebacks, ownership_offers_accepted, pageout_offers_accepted,
       pageout_offers_declined, push_operations, push_scans, push_cancelled_by_scan;
-  // Failover.
-  CounterHandle reissues, shadow_updates, shadow_restreams;
 };
 
 class AsvmSystem : public DsmSystem {
@@ -173,13 +170,6 @@ class AsvmSystem : public DsmSystem {
   // peer holds unreplicated VM links.
   void PromoteIfHomeDead(const MemObjectId& id);
 
-  // Gossip death notification (DESIGN.md §14): the first agent to classify a
-  // silent peer kNodeDown reports it here; a barrier-ordered mutation then
-  // fans the death out to every surviving agent, which fails its own pending
-  // ops against the victim immediately (no second retry horizon) and
-  // re-targets any shadow stream aimed at it. One notice per death.
-  void ReportDeath(NodeId reporter, NodeId dead) override;
-
   // Owner-death reconstruction: reclaims (object, page) from its confirmed-
   // dead, lease-expired owner and seeds the home's recovered overlay with the
   // newest surviving read copy (survivors' now-untracked copies are dropped
@@ -201,8 +191,7 @@ class AsvmSystem : public DsmSystem {
   // runs fork byte-identically to single-threaded ones.
   VmMap* ApplyRemoteFork(NodeId src, VmMap& parent, NodeId dst, ClusterWaitGroup& ro_done);
 
-  // Applies one gossiped death at a barrier: dedup, then survivor fan-out.
-  void ApplyDeathNotice(NodeId dead);
+  ProtocolAgent& protocol_agent(NodeId node) override;
 
   // Keys for anonymous backing in the home's paging space; the high bit keeps
   // them disjoint from local VM object serials.
@@ -217,9 +206,6 @@ class AsvmSystem : public DsmSystem {
   // Per-system (not process-global) so that identical machines allocate
   // identical paging-space positions — traces must be byte-stable run to run.
   uint64_t next_backing_key_ = 0;
-  // Nodes whose death has already been gossiped (first notice wins).
-  // ColdRestart removes rejoined nodes so a second death is noticed afresh.
-  std::set<NodeId> death_noticed_;
 };
 
 }  // namespace asvm

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/dsm/dsm_messages.h"
 
 namespace asvm {
 
@@ -161,20 +162,6 @@ struct PullDone {
   NodeId new_owner;
 };
 
-// Failover (DESIGN.md §14): the home streams each written-back dirty page to
-// its backup (first alive ring successor). The backup keeps the newest buffer
-// per page; at promotion the store seeds the new home's recovered-page
-// overlay, standing in for the paging space that died with the old home.
-// The same body (without the page payload) rides kShadowManifest to the
-// *second* alive successor — a witness record that the page was committed, so
-// a promotion that finds neither a surviving owner nor shadow data can tell
-// "never written" (zero-fill) apart from "written and lost" (kDataLost).
-struct AsvmShadowUpdate {
-  MemObjectId object;
-  PageIndex page = kInvalidPage;
-  uint64_t version = 0;  // the writeback's page version
-};
-
 // The typed envelope body for the ASVM protocol: exactly one alternative per
 // distinct wire format. Several message types share a format (the six ack
 // types all carry an OfferReply; the receiver disambiguates on the type tag).
@@ -183,7 +170,7 @@ struct AsvmShadowUpdate {
 using AsvmBody =
     std::variant<AccessRequest, AccessReply, InvalidateMsg, OwnershipOffer, OfferReply,
                  PageoutOffer, WritebackMsg, PushRequest, PushReply, PushData, MarkReadOnly,
-                 StaticHintMsg, PullDone, AsvmShadowUpdate>;
+                 StaticHintMsg, PullDone, ShadowUpdate>;
 
 // Stats/debug label for each message type. The switch is exhaustive and the
 // build carries -Werror=switch: adding an AsvmMsgType value without extending

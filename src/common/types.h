@@ -2,9 +2,11 @@
 #ifndef SRC_COMMON_TYPES_H_
 #define SRC_COMMON_TYPES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace asvm {
 
@@ -49,6 +51,20 @@ const char* ToString(PageAccess access);
 
 inline bool AccessAllows(PageAccess held, PageAccess wanted) {
   return static_cast<uint8_t>(held) >= static_cast<uint8_t>(wanted);
+}
+
+// A sorted snapshot of a map's keys. Walks over unordered tables go through
+// it, so host iteration order never decides simulated behaviour or report
+// order, and the walk may mutate the table.
+template <typename Map>
+std::vector<typename Map::key_type> SortedKeys(const Map& map) {
+  std::vector<typename Map::key_type> keys;
+  keys.reserve(map.size());
+  for (const auto& entry : map) {
+    keys.push_back(entry.first);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 }  // namespace asvm

@@ -8,10 +8,12 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/machvm/default_pager.h"
 #include "src/machvm/file_pager.h"
 #include "src/machvm/page.h"
+#include "src/sim/future.h"
 
 namespace asvm {
 
@@ -30,6 +32,18 @@ class ObjectBacking {
 
   // Cost the pager charges for granting a fresh page (zero-fill permission).
   virtual void GrantFresh(PageIndex page, std::function<void()> done) = 0;
+
+  // Awaitable Read and GrantFresh: the future resolves where `done` would run.
+  Future<PageBuffer> ReadAsync(Engine& engine, PageIndex page, size_t page_size) {
+    Promise<PageBuffer> read(engine);
+    Read(page, page_size, [read](PageBuffer data) { read.Set(std::move(data)); });
+    return read.GetFuture();
+  }
+  Future<Status> GrantFreshAsync(Engine& engine, PageIndex page) {
+    Promise<Status> granted(engine);
+    GrantFresh(page, [granted]() { granted.Set(Status::kOk); });
+    return granted.GetFuture();
+  }
 };
 
 // Anonymous shared region: fresh until written; evictions that reach the

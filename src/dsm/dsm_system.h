@@ -1,12 +1,16 @@
-// Common interface of the two distributed memory managers (XMM and ASVM), so
-// workloads and benchmarks run unchanged against either system.
+// Common interface of the three distributed memory managers (ASVM, XMM and
+// IVY), so workloads and benchmarks run unchanged against any of them, plus
+// the failover plumbing they share: gossip death notices and the scans over
+// every agent's shadow stream (DESIGN.md §14).
 #ifndef SRC_DSM_DSM_SYSTEM_H_
 #define SRC_DSM_DSM_SYSTEM_H_
 
 #include <memory>
+#include <set>
 #include <string_view>
 #include <vector>
 
+#include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/dsm/backing.h"
 #include "src/dsm/cluster.h"
@@ -15,6 +19,8 @@
 #include "src/sim/future.h"
 
 namespace asvm {
+
+class ProtocolAgent;
 
 class DsmSystem {
  public:
@@ -69,25 +75,57 @@ class DsmSystem {
   // legitimately holds from the surviving agents. Default: nothing to do.
   virtual void ColdRestart(NodeId node) { (void)node; }
 
-  // Gossip death notification (DESIGN.md §14): the first agent whose pending
-  // op resolves kNodeDown reports each confirmed-dead target here, from its
-  // own engine context. Backends enqueue a barrier-ordered death-notice
-  // mutation so every bystander fails over at the next sequencing point
-  // instead of independently burning its full retry horizon. Default: no
-  // gossip (each requester detects silence on its own).
-  virtual void ReportDeath(NodeId reporter, NodeId dead) {
-    (void)reporter;
-    (void)dead;
-  }
+  // Gossip death notification (DESIGN.md §14): the first agent to classify a
+  // silent peer kNodeDown reports it here, from its own engine context. A
+  // barrier-ordered mutation then fans the death out to every surviving
+  // agent (ProtocolAgent::OnDeathNotice), so each bystander fails over at the
+  // next sequencing point instead of independently burning its full retry
+  // horizon. One notice per death; none with failover or notices disabled.
+  void ReportDeath(NodeId reporter, NodeId dead);
+
+  // Failover counters every agent shares, so each name binds once per machine.
+  struct FailoverCounters {
+    CounterHandle reissues, shadow_updates, shadow_restreams;
+  };
+  FailoverCounters& failover_counters() { return failover_counters_; }
 
  protected:
   // Concrete systems size the per-node id space during construction.
   void InitOpIds(int node_count) { next_op_id_.assign(static_cast<size_t>(node_count), 0); }
 
+  // The protocol agent running on `node`.
+  virtual ProtocolAgent& protocol_agent(NodeId node) = 0;
+
+  // True unless the fault plan has removed `node` by now.
+  bool Alive(NodeId node);
+
+  // The committed-witness scan: true when some alive node witnessed (id, page)
+  // as committed — a shadow manifest, or a primary's own ledger. Recovery
+  // that finds no surviving copy of such a page marks it lost (kDataLost)
+  // instead of zero-filling it; pages with no witness were never written.
+  bool SurvivorWitnessedCommit(const MemObjectId& id, PageIndex page);
+
+  // The XMM and IVY shadow fold: moves the shadowed copy of (id, page) into
+  // `out`, taken from `preferred`'s store if it holds one, else from the
+  // lowest alive node's, and erases the page from every alive store (after
+  // a cascade or a re-targeted stream the newest entry may sit anywhere).
+  // Returns false when no store held the page. ASVM folds by page version.
+  bool TakeShadowCopy(const MemObjectId& id, PageIndex page, NodeId preferred, PageBuffer& out);
+
+  // Cold restart of `node`: its shadow stream died with it, and its next
+  // death must gossip afresh.
+  void ResetFailoverState(NodeId node);
+
  private:
+  // Applies one gossiped death at a barrier: dedup, then survivor fan-out.
+  void ApplyDeathNotice(NodeId dead);
+
   // Indexed by originating node; each slot is only touched from its node's
   // shard thread, so no synchronization is needed.
   std::vector<uint64_t> next_op_id_;
+  FailoverCounters failover_counters_;
+  // Nodes whose death has already been gossiped (first notice wins).
+  std::set<NodeId> death_noticed_;
 };
 
 }  // namespace asvm

@@ -1,4 +1,4 @@
-// Primary-backup placement shared by both DSM backends (DESIGN.md §14).
+// Primary-backup placement shared by every DSM backend (DESIGN.md §14).
 //
 // The backup of a manager/home node is its first *alive* ring successor
 // (node + 1 mod N, skipping nodes the fault plan has removed). Shadow

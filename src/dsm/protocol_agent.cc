@@ -5,12 +5,14 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/dsm/failover.h"
 
 namespace asvm {
 
 ProtocolAgent::ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_protocol)
     : node_(node),
       stats_(&dsm.cluster().stats()),
+      failover_(dsm.cluster().params().failover),
       dsm_(dsm),
       engine_(dsm.cluster().engine_for(node)),
       system_name_(dsm.name()),
@@ -56,6 +58,13 @@ uint64_t ProtocolAgent::OpenOp(int outstanding, const char* what, MemObjectId ob
                                PageIndex page) {
   const uint64_t op = dsm_.NextOpId(node_);
   RegisterOp(op, outstanding, what, object, page);
+  return op;
+}
+
+uint64_t ProtocolAgent::OpenRound(std::vector<NodeId> targets, const char* what,
+                                  MemObjectId object, PageIndex page) {
+  const uint64_t op = OpenOp(static_cast<int>(targets.size()), what, object, page);
+  pending_ops_.at(op)->targets = std::move(targets);
   return op;
 }
 
@@ -131,6 +140,17 @@ void ProtocolAgent::ArmOp(uint64_t op_id, std::function<void()> resend) {
   }
   it->second->resend = std::move(resend);
   engine_.Schedule(retry_.timeout_ns, [this, op_id]() { OpDeadline(op_id); });
+}
+
+void ProtocolAgent::ArmRound(uint64_t op_id, std::function<void(NodeId)> send) {
+  ArmOp(op_id, [this, op_id, send = std::move(send)]() {
+    const PendingOp& op = *pending_ops_.at(op_id);  // a firing deadline's op is live
+    for (NodeId t : op.targets) {
+      if (std::find(op.acked.begin(), op.acked.end(), t) == op.acked.end()) {
+        send(t);
+      }
+    }
+  });
 }
 
 SimDuration ProtocolAgent::RetryDelay(int attempts_done) const {
@@ -229,12 +249,7 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
   const SimTime now = engine_.Now();
   // Snapshot + sort: the unordered table must not decide failure order, and
   // `on_fail` hooks may insert fresh ops while we walk.
-  std::vector<uint64_t> ids;
-  ids.reserve(pending_ops_.size());
-  for (const auto& [id, op] : pending_ops_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  const std::vector<uint64_t> ids = SortedKeys(pending_ops_);
   int failed = 0;
   for (uint64_t id : ids) {
     auto it = pending_ops_.find(id);
@@ -273,6 +288,67 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
     }
   }
   return failed;
+}
+
+std::vector<NodeId> ProtocolAgent::DropDeadTargets(std::vector<NodeId> targets,
+                                                   const std::function<void(NodeId)>& forget) {
+  const FaultPlan* plan = dsm_.cluster().fault_plan();
+  if (!failover_.enabled || plan == nullptr) {
+    return targets;
+  }
+  std::vector<NodeId> alive;
+  alive.reserve(targets.size());
+  for (NodeId t : targets) {
+    if (plan->NodeAlive(t, engine_.Now())) {
+      alive.push_back(t);
+    } else {
+      forget(t);
+      dsm_.ReportDeath(node_, t);
+    }
+  }
+  return alive;
+}
+
+bool ProtocolAgent::NodeDead(NodeId node) {
+  if (!failover_.enabled || node == kInvalidNode) {
+    return false;
+  }
+  const FaultPlan* plan = dsm_.cluster().fault_plan();
+  return plan != nullptr && !plan->NodeAlive(node, engine_.Now());
+}
+
+bool ProtocolAgent::LeaseExpired(NodeId owner) {
+  if (!failover_.enabled || owner == kInvalidNode) {
+    return false;
+  }
+  const FaultPlan* plan = dsm_.cluster().fault_plan();
+  if (plan == nullptr) {
+    return false;
+  }
+  const SimTime since = plan->RemovedSince(owner, engine_.Now());
+  return since >= 0 && engine_.Now() >= since + failover_.lease_ns;
+}
+
+void ProtocolAgent::OnDeathNotice(NodeId dead) {
+  shadow_.RetargetShadowStream(dead);
+  FailOpsOnDeadTargets();
+}
+
+void ProtocolAgent::ReissueAfter(std::function<void()> repair, std::function<void()> reissue) {
+  if (const FaultPlan* plan = dsm_.cluster().fault_plan();
+      plan != nullptr && plan->RemovedForGood(node_, engine_.Now())) {
+    return;
+  }
+  dsm_.cluster().mutator().Enqueue(node_, [this, repair = std::move(repair),
+                                           reissue = std::move(reissue)]() {
+    repair();
+    engine_.Post([this, reissue]() {
+      if (stats_ != nullptr) {
+        dsm_.failover_counters().reissues.Add(*stats_, kStatReissues);
+      }
+      reissue();
+    });
+  });
 }
 
 bool ProtocolAgent::DuplicateDelivery(uint64_t op_id) {
@@ -327,13 +403,7 @@ bool ProtocolAgent::DescribeStall(std::string& out) const {
     return false;
   }
   // Sort op ids so reports are deterministic despite the unordered table.
-  std::vector<uint64_t> ids;
-  ids.reserve(pending_ops_.size());
-  for (const auto& [id, op] : pending_ops_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (uint64_t id : ids) {
+  for (uint64_t id : SortedKeys(pending_ops_)) {
     const PendingOp& op = *pending_ops_.at(id);
     out += "  " + system_name_ + " node " + std::to_string(node_) + ": pending op " +
            std::to_string(id) + " (" + op.what + ")";

@@ -1,8 +1,10 @@
-// Shared core of the per-node protocol agents (AsvmAgent, XmmAgent): handler
-// registration on a transport, per-message process-cost charging serialized on
-// the node's protocol CPU, and the pending-operation table that pairs
-// multi-message exchanges (invalidation rounds, flush rounds, push rounds)
-// with the coroutine awaiting their completion.
+// Shared core of the per-node protocol agents (AsvmAgent, XmmAgent, IvyAgent):
+// handler registration on a transport, per-message process-cost charging
+// serialized on the node's protocol CPU, the pending-operation table that
+// pairs multi-message exchanges (invalidation rounds, flush rounds, push
+// rounds) with the coroutine awaiting their completion, and the failover
+// pieces every backend runs alike: the shadow stream, the death-notice hook
+// and request re-issue.
 #ifndef SRC_DSM_PROTOCOL_AGENT_H_
 #define SRC_DSM_PROTOCOL_AGENT_H_
 
@@ -19,6 +21,7 @@
 #include "src/common/trace.h"
 #include "src/common/types.h"
 #include "src/dsm/dsm_system.h"
+#include "src/dsm/shadow_stream.h"
 #include "src/sim/engine.h"
 #include "src/sim/future.h"
 #include "src/transport/message.h"
@@ -42,6 +45,15 @@ class ProtocolAgent {
   // (the erased entry turns the already-scheduled deadline event into a
   // no-op). Ops are failed in ascending id order; returns how many failed.
   int FailOpsOnDeadTargets();
+
+  // Death-notice fan-out (DsmSystem::ReportDeath), run on every surviving
+  // agent as a mutation. Order matters: re-target a shadow stream aimed at
+  // `dead` first, so the replay target never points at the node being
+  // buried, then fail every pending op against it (cancels remaining backoff
+  // immediately — no second detection horizon).
+  virtual void OnDeathNotice(NodeId dead);
+
+  ShadowStream& shadow() { return shadow_; }
 
  protected:
   ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_protocol);
@@ -94,6 +106,10 @@ class ProtocolAgent {
   // expecting `outstanding` replies. The label/object/page feed stall reports.
   uint64_t OpenOp(int outstanding, const char* what = "op",
                   MemObjectId object = kInvalidObject, PageIndex page = kInvalidPage);
+  // Opens an op awaiting one reply from each of `targets`, which also
+  // classify its failure (PendingOp::targets).
+  uint64_t OpenRound(std::vector<NodeId> targets, const char* what, MemObjectId object,
+                     PageIndex page);
   // Inserts an entry under an id the caller already allocated (protocols whose
   // request ids double as op ids: ASVM AccessRequest::req_id, XMM requests).
   void RegisterOp(uint64_t op_id, int outstanding, const char* what = "op",
@@ -119,6 +135,9 @@ class ProtocolAgent {
   // dropped. No-op with retries disabled (nothing scheduled, timelines keep
   // their healthy-run digests).
   void ArmOp(uint64_t op_id, std::function<void()> resend);
+  // ArmOp for a round: each retry re-sends, through `send`, to every target
+  // that has not answered yet.
+  void ArmRound(uint64_t op_id, std::function<void(NodeId)> send);
 
   // Receiver-side idempotence: true if this op id's request was already
   // delivered here (a retry duplicate) and must be ignored. op id 0 marks
@@ -128,6 +147,27 @@ class ProtocolAgent {
 
   // Counts a suppressed duplicate/late reply (dsm.duplicates_suppressed).
   void CountDuplicate();
+
+  // With failover on, drops the `targets` of an invalidation round that the
+  // fault plan has removed: their copies died with them, so the round need
+  // not burn its full retry horizon on silence. Each dropped node goes to
+  // `forget` and is reported dead (gossip), so every survivor cancels its own
+  // ops against it immediately. Returns the targets still alive.
+  std::vector<NodeId> DropDeadTargets(std::vector<NodeId> targets,
+                                      const std::function<void(NodeId)>& forget);
+
+  // Request re-issue from an `on_fail` hook: `repair` (promote a backup,
+  // reclaim a dead owner's page) runs as a cluster mutation at the next
+  // sequencing point, so every node observes it in the same global order at
+  // every shard count; then `reissue` replays the request from this node's
+  // engine. A node the fault plan removed for good re-issues nothing: no
+  // reply could ever reach it, so the request would time out and re-issue
+  // forever.
+  void ReissueAfter(std::function<void()> repair, std::function<void()> reissue);
+
+  // Sends a shadow update (page attached) or a commit manifest (no page)
+  // under this protocol's type tags.
+  virtual void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) = 0;
 
   // Emits a protocol event into the machine-wide trace sink, stamped with this
   // agent's node and protocol tag. One null check when no monitor is attached;
@@ -143,12 +183,26 @@ class ProtocolAgent {
 
   const RetryPolicy& retry_policy() const { return retry_; }
 
+  // Requests carry a pending-op entry when failover and retries are both on,
+  // so a silent target is classified kNodeDown and triggers recovery.
+  bool ArmsRequests() const { return failover_.enabled && retry_.timeout_ns > 0; }
+
+  // True when failover is on and the fault plan confirms `node` removed now.
+  bool NodeDead(NodeId node);
+
+  // True when failover is on and `owner` has been removed for at least the
+  // configured lease: its pages may be reclaimed without its answer.
+  bool LeaseExpired(NodeId owner);
+
   Engine& engine() { return engine_; }
 
   NodeId node_;
   StatsRegistry* stats_;
+  FailoverConfig failover_;
 
  private:
+  friend class ShadowStream;
+
   void OpDeadline(uint64_t op_id);
   SimDuration RetryDelay(int attempts_done) const;
 
@@ -172,6 +226,7 @@ class ProtocolAgent {
   std::deque<std::pair<uint64_t, SimTime>> delivered_fifo_;
   SimDuration delivered_retention_ns_ = 0;
   SimTime process_busy_until_ = 0;
+  ShadowStream shadow_{*this};
 };
 
 }  // namespace asvm

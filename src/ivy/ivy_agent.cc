@@ -24,24 +24,11 @@ IvyAgent::IvyAgent(IvySystem& system, NodeId node)
       system_(system),
       counters_(system.agent_counters()),
       vm_(system.cluster().vm(node)),
-      failover_(system.cluster().params().failover),
-      copy_threads_(system.cluster().engine_for(node), system.config().copy_pager_threads) {
+      copy_pager_(*this, system.cluster().engine_for(node), system.config().copy_pager_threads) {
   Listen(system_.cluster().norma(), ProtocolId::kIvy);
 }
 
 IvyAgent::~IvyAgent() = default;
-
-std::shared_ptr<VmObject> IvyAgent::Attach(const MemObjectId& id) {
-  auto it = reprs_.find(id);
-  if (it != reprs_.end()) {
-    return it->second;
-  }
-  IvyObjectInfo& info = system_.info(id);
-  auto repr = vm_.CreateObject(info.pages, CopyStrategy::kAsymmetric);
-  vm_.RegisterManaged(repr, id, this);
-  reprs_[id] = repr;
-  return repr;
-}
 
 IvyAgent::ObjState& IvyAgent::obj_state(const MemObjectId& id) {
   auto it = objs_.find(id);
@@ -105,13 +92,7 @@ size_t IvyAgent::MetadataBytes() const {
 
 bool IvyAgent::DescribeStall(std::string& out) const {
   bool blocked = ProtocolAgent::DescribeStall(out);
-  std::vector<MemObjectId> ids;
-  ids.reserve(objs_.size());
-  for (const auto& [id, os] : objs_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(objs_)) {
     for (const auto& [page, st] : objs_.at(id)->owned) {
       if (!st.busy && st.queue.empty()) {
         continue;
@@ -152,27 +133,9 @@ void IvyAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) 
 
 void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess access,
                            bool has_copy, uint64_t reuse_op) {
-  const IvyObjectInfo& info = system_.info(id);
+  const DirectoryRecord& info = system_.info(id);
   if (info.IsCopyObject()) {
-    // A child's own modified pages paged out locally take priority over the
-    // frozen parent copy at the internal pager.
-    auto repr_it = reprs_.find(id);
-    if (repr_it != reprs_.end() &&
-        vm_.default_pager()->HasPage(repr_it->second->serial(), page)) {
-      auto repr = repr_it->second;
-      vm_.default_pager()->ReadPage(repr->serial(), page, [this, repr, page](PageBuffer data) {
-        vm_.DataSupply(*repr, page, std::move(data), PageAccess::kWrite);
-      });
-      return;
-    }
-    IvyCopyFault fault{id, page, node_, {node_}};
-    if (copy_fault_path_ != nullptr) {
-      fault.path = *copy_fault_path_;
-      fault.path.push_back(node_);
-    }
-    Trace(TraceKind::kIvyRequest, id, page, info.copy_pager_node,
-          static_cast<int64_t>(access));
-    Send(info.copy_pager_node, IvyMsgType::kCopyFault, fault);
+    copy_pager_.Request(id, page, access, info.copy_pager_node);
     return;
   }
   IvyRequest req{id, page, access, node_, has_copy, /*op_id=*/0, /*hops=*/0};
@@ -201,15 +164,20 @@ void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
     counters_.requests.Add(*stats_, "dsm.ivy.requests");
   }
   Trace(TraceKind::kIvyRequest, id, page, target, static_cast<int64_t>(access), req.op_id);
-  if (failover_.enabled && retry_policy().timeout_ns > 0) {
+  if (ArmsRequests()) {
     // Arm a pending op on the request itself so owner silence is detected.
     // The resend re-reads the hint: a death notice or a bystander's reclaim
     // may have re-aimed the chain since the last attempt.
     RegisterOp(req.op_id, 1, "ivy-request", id, page);
     if (PendingOp* op = FindOp(req.op_id); op != nullptr) {
       op->targets = {target};
+      // kNodeDown/kTimeout: reclaim the page if its owner died, then replay
+      // the request along the repaired chain under the original op id.
       op->on_fail = [this, id, page, access, has_copy, op_id = req.op_id](Status) {
-        ReissueAfterOwnerDeath(id, page, access, has_copy, op_id);
+        ReissueAfter([this, id, page]() { system_.ReclaimIfOwnerDead(id, page, node_); },
+                     [this, id, page, access, has_copy, op_id]() {
+                       SendRequest(id, page, access, has_copy, op_id);
+                     });
       };
     }
     ArmOp(req.op_id, [this, req]() {
@@ -327,7 +295,7 @@ void IvyAgent::DeliverReply(const IvyRequest& req, const IvyReply& reply, PageBu
 Task IvyAgent::OwnerServe(IvyRequest req) {
   Engine& engine = vm_.engine();
   const MemObjectId id = req.object;
-  IvyObjectInfo& info = system_.info(id);
+  DirectoryRecord& info = system_.info(id);
   const bool self = req.origin == node_;
 
   co_await StackProcess();
@@ -371,30 +339,9 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
     std::vector<NodeId> targets(st->copyset.begin(), st->copyset.end());
     targets.erase(std::remove(targets.begin(), targets.end(), req.origin), targets.end());
     const NodeId new_owner = self ? node_ : req.origin;
-    if (failover_.enabled && !targets.empty()) {
-      // Removed readers' copies died with them: drop them from the round and
-      // gossip the first confirmation of each death.
-      if (const FaultPlan* plan = system_.cluster().fault_plan(); plan != nullptr) {
-        const SimTime now = engine.Now();
-        std::vector<NodeId> alive;
-        alive.reserve(targets.size());
-        for (NodeId r : targets) {
-          if (plan->NodeAlive(r, now)) {
-            alive.push_back(r);
-          } else {
-            st->copyset.erase(r);
-            system_.ReportDeath(node_, r);
-          }
-        }
-        targets = std::move(alive);
-      }
-    }
+    targets = DropDeadTargets(std::move(targets), [&](NodeId r) { st->copyset.erase(r); });
     if (!targets.empty()) {
-      const uint64_t op = OpenOp(static_cast<int>(targets.size()), "ivy-invalidate-round",
-                                 id, req.page);
-      if (PendingOp* pending = FindOp(op); pending != nullptr) {
-        pending->targets = targets;
-      }
+      const uint64_t op = OpenRound(targets, "ivy-invalidate-round", id, req.page);
       Future<Status> acked = OpFuture(op);
       for (NodeId r : targets) {
         Trace(TraceKind::kIvyInvalidate, id, req.page, r, 0, op);
@@ -403,16 +350,8 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
         }
         Send(r, IvyMsgType::kInvalidate, IvyInvalidate{id, req.page, new_owner, op});
       }
-      ArmOp(op, [this, id, page = req.page, new_owner, op, targets]() {
-        const PendingOp* pending = FindOp(op);
-        for (NodeId r : targets) {
-          if (pending != nullptr &&
-              std::find(pending->acked.begin(), pending->acked.end(), r) !=
-                  pending->acked.end()) {
-            continue;
-          }
-          Send(r, IvyMsgType::kInvalidate, IvyInvalidate{id, page, new_owner, op});
-        }
+      ArmRound(op, [this, id, page = req.page, new_owner, op](NodeId r) {
+        Send(r, IvyMsgType::kInvalidate, IvyInvalidate{id, page, new_owner, op});
       });
       co_await acked;
       EraseOp(op);
@@ -447,16 +386,11 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       if (data != nullptr) {
         co_await Delay(engine, supply_cost);
       } else if (is_home && info.backing->HasData(req.page)) {
-        Promise<PageBuffer> read_done(engine);
-        info.backing->Read(req.page, vm_.page_size(),
-                           [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
-        data = co_await read_done.GetFuture();
+        data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
         co_await Delay(engine, info.file_backed ? 0 : system_.config().pager_supply_ns);
       } else {
         if (is_home) {
-          Promise<Status> grant(engine);
-          info.backing->GrantFresh(req.page, [grant]() { grant.Set(Status::kOk); });
-          co_await grant.GetFuture();
+          co_await info.backing->GrantFreshAsync(engine, req.page);
         }
         co_await Delay(engine, system_.config().pager_fresh_ns);
         zero_fill = true;
@@ -497,16 +431,11 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
         co_await Delay(engine, supply_cost);
       }
     } else if (is_home && info.backing->HasData(req.page)) {
-      Promise<PageBuffer> read_done(engine);
-      info.backing->Read(req.page, vm_.page_size(),
-                         [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
-      data = co_await read_done.GetFuture();
+      data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
       co_await Delay(engine, info.file_backed ? 0 : system_.config().pager_supply_ns);
     } else if (!upgrade) {
       if (is_home) {
-        Promise<Status> grant(engine);
-        info.backing->GrantFresh(req.page, [grant]() { grant.Set(Status::kOk); });
-        co_await grant.GetFuture();
+        co_await info.backing->GrantFreshAsync(engine, req.page);
       }
       co_await Delay(engine, system_.config().pager_fresh_ns);
       zero_fill = true;
@@ -568,16 +497,11 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
     data = ClonePage(st->pager_copy);
     co_await Delay(engine, supply_cost);
   } else if (is_home && info.backing->HasData(req.page)) {
-    Promise<PageBuffer> read_done(engine);
-    info.backing->Read(req.page, vm_.page_size(),
-                       [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
-    data = co_await read_done.GetFuture();
+    data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
     co_await Delay(engine, info.file_backed ? 0 : system_.config().pager_supply_ns);
   } else {
     if (is_home) {
-      Promise<Status> grant(engine);
-      info.backing->GrantFresh(req.page, [grant]() { grant.Set(Status::kOk); });
-      co_await grant.GetFuture();
+      co_await info.backing->GrantFreshAsync(engine, req.page);
     }
     co_await Delay(engine, system_.config().pager_fresh_ns);
     zero_fill = true;
@@ -673,7 +597,7 @@ void IvyAgent::DrainParked(const MemObjectId& id, PageIndex page) {
 
 EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data, bool dirty) {
   const MemObjectId id = object.id();
-  const IvyObjectInfo& info = system_.info(id);
+  const DirectoryRecord& info = system_.info(id);
   if (info.IsCopyObject()) {
     if (!dirty) {
       if (stats_ != nullptr) {
@@ -681,10 +605,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
       }
       return EvictAction::kDiscard;
     }
-    // The child's private modifications page out to the local default pager;
-    // the internal pager only serves the frozen parent snapshot.
-    vm_.default_pager()->WritePage(object.serial(), page, std::move(data));
-    return EvictAction::kTaken;
+    return copy_pager_.PageOut(object, page, std::move(data));
   }
   if (OwnerState* st = OwnedState(id, page); st != nullptr) {
     // The owner's kernel copy is the page's authoritative contents — capture
@@ -708,7 +629,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
       } else {
         // Anonymous page: the captured copy is the only replica — mirror it
         // to this node's backup so the contents survive our death.
-        MirrorToBackup(node_, id, page, st->pager_copy);
+        shadow().MirrorToBackup(node_, id, page, /*version=*/0, st->pager_copy);
       }
     }
     return EvictAction::kTaken;
@@ -726,81 +647,11 @@ void IvyAgent::PullCompleted(VmObject&, PageIndex, PullResult) {}
 
 // --- Failover (DESIGN.md §15) ------------------------------------------------
 
-void IvyAgent::MirrorToBackup(NodeId primary, const MemObjectId& id, PageIndex page,
-                              const PageBuffer& data) {
-  if (!failover_.enabled) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(primary, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    return;
-  }
-  if (primary == node_) {
-    if (backup != shadow_target_ && shadow_target_ != kInvalidNode) {
-      ReplayShadowLedger(backup);
-    }
-    shadow_target_ = backup;
-    sent_shadow_[id][page] = ClonePage(data);
-  }
-  if (stats_ != nullptr) {
-    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
-  }
-  if (backup == node_) {
-    shadow_[id][page] = ClonePage(data);
-    SendShadowManifest(id, page, backup);
-    return;
-  }
-  Send(backup, IvyMsgType::kShadowUpdate, IvyWriteback{id, page, true}, ClonePage(data));
-  SendShadowManifest(id, page, backup);
-}
-
-void IvyAgent::SendShadowManifest(const MemObjectId& id, PageIndex page, NodeId backup) {
-  const NodeId witness = RingSuccessor(backup, system_.cluster().node_count(),
-                                       system_.cluster().fault_plan(), engine().Now());
-  if (witness == kInvalidNode || witness == node_) {
-    return;
-  }
-  Send(witness, IvyMsgType::kShadowManifest, IvyWriteback{id, page, false});
-}
-
-void IvyAgent::ReplayShadowLedger(NodeId backup) {
-  for (auto& [id, pages] : sent_shadow_) {
-    for (auto& [page, buf] : pages) {
-      if (stats_ != nullptr) {
-        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
-      }
-      Send(backup, IvyMsgType::kShadowUpdate, IvyWriteback{id, page, true}, ClonePage(buf));
-      SendShadowManifest(id, page, backup);
-    }
-  }
-}
-
-void IvyAgent::RetargetShadowStream(NodeId dead) {
-  if (!failover_.enabled || shadow_target_ != dead || sent_shadow_.empty()) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(node_, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    shadow_target_ = kInvalidNode;
-    return;
-  }
-  shadow_target_ = backup;
-  engine().Post([this, backup]() { ReplayShadowLedger(backup); });
-}
-
-void IvyAgent::CutChains(NodeId dead) {
+void IvyAgent::OnDeathNotice(NodeId dead) {
   const FaultPlan* plan = system_.cluster().fault_plan();
   const NodeId succ =
       RingSuccessor(dead, system_.cluster().node_count(), plan, engine().Now());
-  std::vector<MemObjectId> ids;
-  ids.reserve(objs_.size());
-  for (const auto& [id, os] : objs_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(objs_)) {
     ObjState& os = *objs_.at(id);
     std::vector<PageIndex> cut;
     os.hints.ForEach([&](PageIndex p, const ObjState::Hint& h) {
@@ -820,68 +671,7 @@ void IvyAgent::CutChains(NodeId dead) {
       Trace(TraceKind::kIvyChainCut, id, p, dead);
     }
   }
-}
-
-void IvyAgent::ReissueAfterOwnerDeath(const MemObjectId& id, PageIndex page, PageAccess access,
-                                      bool has_copy, uint64_t reuse_op) {
-  // The probable owner is confirmed silent. Repair ownership at the next
-  // sequencing point — a cluster mutation, so every node observes the reclaim
-  // in the same global order at every shard count — then replay the request
-  // along the repaired chain from this node's own engine.
-  system_.cluster().mutator().Enqueue(node_, [this, id, page, access, has_copy, reuse_op]() {
-    system_.ReclaimIfOwnerDead(id, page, node_);
-    engine().Post([this, id, page, access, has_copy, reuse_op]() {
-      if (stats_ != nullptr) {
-        counters_.reissues.Add(*stats_, kStatReissues);
-      }
-      SendRequest(id, page, access, has_copy, reuse_op);
-    });
-  });
-}
-
-// --- Copy pager role ---------------------------------------------------------
-
-Task IvyAgent::CopyFaultTask(NodeId src, IvyCopyFault m) {
-  auto it = copy_pagers_.find(m.object);
-  ASVM_CHECK_MSG(it != copy_pagers_.end(), "copy fault for unknown internal pager");
-  CopyPagerEntry entry = it->second;
-
-  if (copy_threads_.available() == 0 &&
-      std::find(m.path.begin(), m.path.end(), node_) != m.path.end()) {
-    if (stats_ != nullptr) {
-      counters_.copy_deadlocks.Add(*stats_, "ivy.copy_deadlocks");
-    }
-    Send(src, IvyMsgType::kCopyFaultReply,
-         IvyCopyFaultReply{m.object, m.page, false, /*deadlock=*/true});
-    co_return;
-  }
-  co_await copy_threads_.Acquire();
-  co_await StackProcess();
-  if (stats_ != nullptr) {
-    counters_.copy_faults.Add(*stats_, "ivy.copy_faults");
-  }
-
-  const VmOffset addr = (entry.base_page + static_cast<VmOffset>(m.page)) * vm_.page_size();
-  copy_fault_path_ = &m.path;
-  Status s = co_await vm_.Fault(*entry.copy_map, addr, PageAccess::kRead);
-  copy_fault_path_ = nullptr;
-  if (!IsOk(s)) {
-    copy_threads_.Release();
-    Send(src, IvyMsgType::kCopyFaultReply,
-         IvyCopyFaultReply{m.object, m.page, false, /*deadlock=*/s == Status::kDeadlock});
-    co_return;
-  }
-  std::byte* p = vm_.TryAccess(*entry.copy_map, addr, PageAccess::kRead);
-  PageBuffer data;
-  bool zero = true;
-  if (p != nullptr) {
-    data = AllocPage(vm_.page_size());
-    std::memcpy(data->data(), p - (addr % vm_.page_size()), vm_.page_size());
-    zero = PageIsZero(data);
-  }
-  copy_threads_.Release();
-  Send(src, IvyMsgType::kCopyFaultReply, IvyCopyFaultReply{m.object, m.page, zero, false},
-       zero ? nullptr : std::move(data));
+  ProtocolAgent::OnDeathNotice(dead);
 }
 
 // --- Dispatcher --------------------------------------------------------------
@@ -919,8 +709,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
       // Requests carry op ids even with retries disarmed (they key the
       // --breakdown fault matching), but pending ops are only registered when
       // failover is armed — a missing op means "straggler" only in that mode.
-      const bool ops_armed = failover_.enabled && retry_policy().timeout_ns > 0;
-      if (reply.op_id != 0 && ops_armed && FindOp(reply.op_id) == nullptr) {
+      if (reply.op_id != 0 && ArmsRequests() && FindOp(reply.op_id) == nullptr) {
         CountDuplicate();
         if (reply.ownership && !reply.lost && !Owns(reply.object, reply.page)) {
           // A straggler write grant carries ownership; dropping it would
@@ -937,7 +726,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
         }
         return;
       }
-      if (reply.op_id != 0 && ops_armed) {
+      if (reply.op_id != 0 && ArmsRequests()) {
         ResolveOp(reply.op_id, reply.lost ? Status::kDataLost : Status::kOk);
       }
       ApplyGrant(reply.object, reply.page, reply, std::move(msg.page));
@@ -973,37 +762,24 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
       const auto& m = std::get<IvyWriteback>(body);
       // Dirty file-backed eviction shipped home: commit it to the backing
       // store on this (the home's) timeline.
-      IvyObjectInfo& info = system_.info(m.object);
+      DirectoryRecord& info = system_.info(m.object);
       if (info.backing != nullptr && m.dirty && msg.page != nullptr) {
         info.backing->Write(m.page, std::move(msg.page), []() {});
       }
       return;
     }
     case IvyMsgType::kCopyFault:
-      (void)CopyFaultTask(src, std::get<IvyCopyFault>(std::move(body)));
+      (void)copy_pager_.Serve(src, std::get<CopyFault>(std::move(body)));
       return;
-    case IvyMsgType::kCopyFaultReply: {
-      const auto& m = std::get<IvyCopyFaultReply>(body);
-      auto repr = reprs_.at(m.object);
-      if (m.deadlock) {
-        vm_.FaultFailed(*repr, m.page, Status::kDeadlock);
-      } else if (m.zero_fill) {
-        vm_.DataUnavailable(*repr, m.page, PageAccess::kWrite);
-      } else {
-        vm_.DataSupply(*repr, m.page, std::move(msg.page), PageAccess::kWrite);
-      }
+    case IvyMsgType::kCopyFaultReply:
+      copy_pager_.OnReply(std::get<CopyFaultReply>(body), std::move(msg.page));
       return;
-    }
-    case IvyMsgType::kShadowUpdate: {
-      const auto& m = std::get<IvyWriteback>(body);
-      shadow_[m.object][m.page] = std::move(msg.page);
+    case IvyMsgType::kShadowUpdate:
+      shadow().OnUpdate(std::get<ShadowUpdate>(body), std::move(msg.page));
       return;
-    }
-    case IvyMsgType::kShadowManifest: {
-      const auto& m = std::get<IvyWriteback>(body);
-      shadow_manifest_[m.object].insert(m.page);
+    case IvyMsgType::kShadowManifest:
+      shadow().OnManifest(std::get<ShadowUpdate>(body));
       return;
-    }
   }
   ASVM_CHECK_MSG(false, "unknown IVY message type");
 }
@@ -1016,6 +792,11 @@ void IvyAgent::Send(NodeId to, IvyMsgType type, IvyBody body, PageBuffer page) {
   msg.body = std::move(body);
   msg.page = std::move(page);
   system_.cluster().norma().Send(node_, to, std::move(msg));
+}
+
+void IvyAgent::SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) {
+  Send(to, manifest ? IvyMsgType::kShadowManifest : IvyMsgType::kShadowUpdate, m,
+       std::move(page));
 }
 
 }  // namespace asvm

@@ -11,6 +11,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 
 #include "src/common/page_table.h"
 #include "src/common/types.h"
+#include "src/dsm/copy_pager.h"
 #include "src/dsm/protocol_agent.h"
 #include "src/ivy/ivy_system.h"
 #include "src/machvm/node_vm.h"
@@ -32,8 +34,6 @@ class IvyAgent : public Pager, public ProtocolAgent {
  public:
   IvyAgent(IvySystem& system, NodeId node);
   ~IvyAgent() override;
-
-  std::shared_ptr<VmObject> Attach(const MemObjectId& id);
 
   // Owner-side state for one page. Exactly one node holds an OwnerState per
   // (object, page) — that node is the page's current owner. The home node is
@@ -74,17 +74,10 @@ class IvyAgent : public Pager, public ProtocolAgent {
     std::map<PageIndex, std::deque<IvyRequest>> parked;
   };
 
-  // Copy-pager state on a fork-source node (same shape as XMM's).
-  struct CopyPagerEntry {
-    VmMap* copy_map = nullptr;
-    VmOffset base_page = 0;
-  };
-
   // Seeds the home node's OwnerState for every page of a fresh region.
   void AdoptHomePages(const MemObjectId& id, VmSize pages);
 
   size_t MetadataBytes() const;
-  SimSemaphore& copy_threads() { return copy_threads_; }
 
   // True iff this node currently owns (id, page).
   bool Owns(const MemObjectId& id, PageIndex page) const;
@@ -109,6 +102,12 @@ class IvyAgent : public Pager, public ProtocolAgent {
 
  private:
   friend class IvySystem;
+  friend class DirectorySystem<IvyAgent>;
+  friend class InternalCopyPager<IvyAgent>;
+
+  using MsgType = IvyMsgType;
+  static constexpr TraceKind kRequestTrace = TraceKind::kIvyRequest;
+  static constexpr std::optional<TraceKind> kCopyServeTrace = std::nullopt;
 
   // The node this node believes owns (id, page): the recorded hint, or the
   // object's home when no hint has been learned yet.
@@ -116,9 +115,9 @@ class IvyAgent : public Pager, public ProtocolAgent {
   void SetHint(const MemObjectId& id, PageIndex page, NodeId owner);
 
   // reuse_op keeps a reissued request part of the same transaction as the
-  // original (see ReissueAfterOwnerDeath): the owner's dedup table already
-  // knows the id, so an in-flight serve is not started twice and its reply
-  // resolves the live op instead of being dropped as a straggler.
+  // original: the owner's dedup table already knows the id, so an in-flight
+  // serve is not started twice and its reply resolves the live op instead of
+  // being dropped as a straggler.
   void SendRequest(const MemObjectId& id, PageIndex page, PageAccess access, bool has_copy,
                    uint64_t reuse_op = 0);
 
@@ -150,31 +149,15 @@ class IvyAgent : public Pager, public ProtocolAgent {
 
   // --- Failover (DESIGN.md §15) ---------------------------------------------
 
-  // Streams page contents to `primary`'s backup (first alive ring successor);
-  // identical discipline to XMM's shadow stream, but the primary is whichever
-  // node owns the page rather than a fixed manager.
-  void MirrorToBackup(NodeId primary, const MemObjectId& id, PageIndex page,
-                      const PageBuffer& data);
-  void ReplayShadowLedger(NodeId backup);
-  void RetargetShadowStream(NodeId dead);
-  void SendShadowManifest(const MemObjectId& id, PageIndex page, NodeId backup);
-
-  // Death-notice hook: re-aims every probable-owner hint pointing at `dead`
-  // to its first alive ring successor, so post-death faults walk toward a
-  // survivor instead of a black hole. Counts dsm.ivy.chain_cuts.
-  void CutChains(NodeId dead);
-
-  // kNodeDown/kTimeout recovery: enqueue a barrier-ordered reclaim of the
-  // page (IvySystem::ReclaimIfOwnerDead), then replay the request along the
-  // repaired chain under the original op id (see SendRequest's reuse_op).
-  void ReissueAfterOwnerDeath(const MemObjectId& id, PageIndex page, PageAccess access,
-                              bool has_copy, uint64_t reuse_op);
-
-  // Copy-pager role (fork sources).
-  Task CopyFaultTask(NodeId src, IvyCopyFault m);
+  // Death-notice hook: first cuts the probable-owner chains through the
+  // corpse — every hint pointing at `dead` is re-aimed at its first alive
+  // ring successor, so post-death faults walk toward a survivor instead of a
+  // black hole (counts dsm.ivy.chain_cuts) — then runs the common hook.
+  void OnDeathNotice(NodeId dead) override;
 
   void OnMessage(NodeId src, Message msg) override;
   void Send(NodeId to, IvyMsgType type, IvyBody body, PageBuffer page = nullptr);
+  void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) override;
 
   // Stall-watchdog probe: base pending ops plus owned pages that are busy or
   // holding parked requests.
@@ -186,23 +169,9 @@ class IvyAgent : public Pager, public ProtocolAgent {
   // Shared with every other node's agent (owned by the system).
   IvyAgentCounters& counters_;
   NodeVm& vm_;
-  FailoverConfig failover_;
-  SimSemaphore copy_threads_;
-  // Backup role: newest shadowed contents per object, streamed from primaries
-  // whose ring successor this node is (ordered: reclaim harvests scan these).
-  std::map<MemObjectId, std::map<PageIndex, PageBuffer>> shadow_;
-  // Primary role: ledger of everything this node has mirrored, plus the node
-  // the stream currently feeds (see RetargetShadowStream).
-  std::map<MemObjectId, std::map<PageIndex, PageBuffer>> sent_shadow_;
-  NodeId shadow_target_ = kInvalidNode;
-  // Witness role: pages some primary committed (control-only manifest).
-  std::map<MemObjectId, std::set<PageIndex>> shadow_manifest_;
+  InternalCopyPager<IvyAgent> copy_pager_;
   std::unordered_map<MemObjectId, std::shared_ptr<VmObject>> reprs_;
   std::unordered_map<MemObjectId, std::unique_ptr<ObjState>> objs_;
-  std::unordered_map<MemObjectId, CopyPagerEntry> copy_pagers_;
-  // Path of the copy fault currently being served by a local pager thread
-  // (cycle detection for fork chains; best-effort under concurrency).
-  const std::vector<NodeId>* copy_fault_path_ = nullptr;
 };
 
 }  // namespace asvm

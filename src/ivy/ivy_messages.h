@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <variant>
-#include <vector>
 
 #include "src/common/types.h"
+#include "src/dsm/dsm_messages.h"
 
 namespace asvm {
 
@@ -70,39 +70,18 @@ struct IvyInvalidate {
 };
 
 // Owner -> home on dirty eviction of a file-backed page (the file pager's
-// backing store lives at the home node); also the body for the two shadow
-// message types — kShadowUpdate rides with the page contents attached,
-// kShadowManifest is control-only, exactly as in the XMM backend.
+// backing store lives at the home node).
 struct IvyWriteback {
   MemObjectId object;
   PageIndex page = kInvalidPage;
   bool dirty = false;
 };
 
-// Fork support mirrors the Mach-style internal copy pager XMM uses (IVY
-// itself never defined lazy-copy semantics, so both backends share the host
-// kernel's): a remote child's copy fault blocks a pager thread on the source.
-struct IvyCopyFault {
-  MemObjectId object;  // the internal-pager object
-  PageIndex page = kInvalidPage;
-  NodeId origin = kInvalidNode;
-  // Nodes whose copy-pager threads are blocked on this request chain (cycle
-  // detection across nested forks).
-  std::vector<NodeId> path;
-};
-
-struct IvyCopyFaultReply {
-  MemObjectId object;
-  PageIndex page = kInvalidPage;
-  bool zero_fill = false;
-  bool deadlock = false;
-};
-
 // Typed envelope body for the IVY protocol; IvyInvalidate serves both the
-// invalidation and its ack, IvyWriteback both shadow directions — the type
+// invalidation and its ack, ShadowUpdate both shadow directions — the type
 // tag disambiguates, as on the real wire.
-using IvyBody = std::variant<IvyRequest, IvyReply, IvyInvalidate, IvyWriteback, IvyCopyFault,
-                             IvyCopyFaultReply>;
+using IvyBody = std::variant<IvyRequest, IvyReply, IvyInvalidate, IvyWriteback, CopyFault,
+                             CopyFaultReply, ShadowUpdate>;
 
 // Stats/debug label per message type; exhaustive under -Werror=switch.
 constexpr const char* MsgTypeName(IvyMsgType type) {

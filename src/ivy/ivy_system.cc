@@ -11,145 +11,14 @@
 namespace asvm {
 
 IvySystem::IvySystem(Cluster& cluster, IvyConfig config)
-    : cluster_(cluster), config_(config) {
-  InitOpIds(cluster.node_count());
-  agents_.reserve(cluster.node_count());
-  for (NodeId n = 0; n < cluster.node_count(); ++n) {
-    agents_.push_back(std::make_unique<IvyAgent>(*this, n));
-  }
+    : DirectorySystem(cluster, /*backing_tag=*/1ULL << 61), config_(config) {
+  CreateAgents(*this);
 }
 
 IvySystem::~IvySystem() = default;
 
-IvyObjectInfo& IvySystem::info(const MemObjectId& id) {
-  auto it = directory_.find(id);
-  ASVM_CHECK_MSG(it != directory_.end(), "unknown IVY object");
-  return *it->second;
-}
-
-MemObjectId IvySystem::CreateSharedRegion(NodeId home, VmSize pages) {
-  cluster_.AssertDriverQuiescent("IVY CreateSharedRegion from inside a shard window");
-  MemObjectId id = NewObjectId(home);
-  auto info = std::make_unique<IvyObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->home = home;
-  info->backing = std::make_unique<AnonBacking>(cluster_.engine_for(home),
-                                                cluster_.default_pager(home),
-                                                NextIvyBackingKey());
-  directory_[id] = std::move(info);
-  // The home is every page's initial owner — ownership is always locally
-  // decidable, and the hint chains all terminate here until writes migrate
-  // pages away.
-  agent(home).AdoptHomePages(id, pages);
-  return id;
-}
-
-MemObjectId IvySystem::CreateFileRegion(int32_t file_id, VmSize pages) {
-  cluster_.AssertDriverQuiescent("IVY CreateFileRegion from inside a shard window");
-  FilePager& pager = cluster_.file_pager();
-  MemObjectId id = NewObjectId(pager.node());
-  auto info = std::make_unique<IvyObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->home = pager.node();
-  info->backing = std::make_unique<FileBacking>(pager, file_id);
-  info->file_backed = true;
-  directory_[id] = std::move(info);
-  agent(pager.node()).AdoptHomePages(id, pages);
-  return id;
-}
-
-MemObjectId IvySystem::CreateStripedRegion(const std::vector<StripedBacking::Stripe>& stripes,
-                                           VmSize pages) {
-  cluster_.AssertDriverQuiescent("IVY CreateStripedRegion from inside a shard window");
-  ASVM_CHECK(!stripes.empty());
-  // The stripes scale the disks; the first stripe's pager node anchors the
-  // hint chains, but ownership still migrates per page like any region.
-  const NodeId home = stripes[0].pager->node();
-  MemObjectId id = NewObjectId(home);
-  auto info = std::make_unique<IvyObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->home = home;
-  info->backing = std::make_unique<StripedBacking>(stripes);
-  info->file_backed = true;
-  directory_[id] = std::move(info);
-  agent(home).AdoptHomePages(id, pages);
-  return id;
-}
-
-std::shared_ptr<VmObject> IvySystem::Attach(NodeId node, const MemObjectId& id) {
-  return agent(node).Attach(id);
-}
-
-Future<VmMap*> IvySystem::RemoteFork(NodeId src, VmMap& parent, NodeId dst) {
-  cluster_.mutator().Arm();
-  Promise<VmMap*> done(cluster_.engine_for(src));
-  (void)RemoteForkTask(src, parent, dst, done);
-  return done.GetFuture();
-}
-
-Task IvySystem::RemoteForkTask(NodeId src, VmMap& parent, NodeId dst, Promise<VmMap*> done) {
-  Engine& engine = cluster_.engine_for(src);
-  // Task creation ships the map description over NORMA.
-  co_await Delay(engine, 800 * kMicrosecond);
-  Promise<VmMap*> built(engine);
-  VmMap* parent_ptr = &parent;
-  cluster_.mutator().Enqueue(src, [this, src, parent_ptr, dst, built]() {
-    built.Set(ApplyRemoteFork(src, *parent_ptr, dst));
-  });
-  done.Set(co_await built.GetFuture());
-}
-
-VmMap* IvySystem::ApplyRemoteFork(NodeId src, VmMap& parent, NodeId dst) {
-  cluster_.stats().Add("ivy.remote_forks");
-
-  // IVY never defined lazy-copy semantics; forks use the host kernel's
-  // Mach-style internal copy pagers, exactly like the XMM backend.
-  NodeVm& src_vm = cluster_.vm(src);
-  VmMap* copy_map = src_vm.ForkMap(parent);
-
-  NodeVm& dst_vm = cluster_.vm(dst);
-  VmMap* child = dst_vm.CreateMap();
-
-  for (auto& [start, copy_entry] : copy_map->entries()) {
-    if (copy_entry.inheritance == Inheritance::kNone) {
-      continue;
-    }
-    if (copy_entry.inheritance == Inheritance::kShare) {
-      ASVM_CHECK_MSG(copy_entry.object->managed(),
-                     "IVY cannot share anonymous memory across nodes");
-      auto repr = Attach(dst, copy_entry.object->id());
-      Status s = child->Map(copy_entry.start_page, copy_entry.page_count, repr,
-                            copy_entry.object_offset, copy_entry.inheritance);
-      ASVM_CHECK(IsOk(s));
-      continue;
-    }
-    MemObjectId id = NewObjectId(src);
-    auto info = std::make_unique<IvyObjectInfo>();
-    info->id = id;
-    info->pages = copy_entry.object->page_count();
-    info->home = src;
-    info->copy_pager_node = src;
-    directory_[id] = std::move(info);
-
-    IvyAgent::CopyPagerEntry pager_entry;
-    pager_entry.copy_map = copy_map;
-    pager_entry.base_page = copy_entry.start_page - copy_entry.object_offset;
-    agent(src).copy_pagers_[id] = pager_entry;
-    cluster_.stats().Add("ivy.internal_pagers");
-
-    auto repr = Attach(dst, id);
-    Status s = child->Map(copy_entry.start_page, copy_entry.page_count, repr,
-                          copy_entry.object_offset, Inheritance::kCopy);
-    ASVM_CHECK(IsOk(s));
-  }
-  return child;
-}
-
-size_t IvySystem::MetadataBytes(NodeId node) const {
-  return agents_.at(node)->MetadataBytes();
+void IvySystem::OnRegionCreated(const DirectoryRecord& rec) {
+  agent(rec.home).AdoptHomePages(rec.id, rec.pages);
 }
 
 // --- Failover (DESIGN.md §15) ------------------------------------------------
@@ -160,43 +29,7 @@ bool IvySystem::HarvestNewestCopy(const MemObjectId& id, PageIndex page, NodeId 
   IvyAgent::OwnerState* st = agent(new_owner).OwnedState(id, page);
   ASVM_CHECK_MSG(st != nullptr, "harvest without an owner record");
   // Shadow stores first — the dead owner mirrored its dirty contents there.
-  // Prefer the new owner's own store; after a cascade or a re-targeted stream
-  // the newest entry may sit elsewhere, so every alive store is consulted and
-  // consumed entries are erased everywhere.
-  PageBuffer* src = nullptr;
-  if (auto sit = agent(new_owner).shadow_.find(id); sit != agent(new_owner).shadow_.end()) {
-    if (auto pit = sit->second.find(page); pit != sit->second.end()) {
-      src = &pit->second;
-    }
-  }
-  for (NodeId n = 0; src == nullptr && n < cluster_.node_count(); ++n) {
-    if (plan != nullptr && !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    auto sit = agent(n).shadow_.find(id);
-    if (sit == agent(n).shadow_.end()) {
-      continue;
-    }
-    if (auto pit = sit->second.find(page); pit != sit->second.end()) {
-      src = &pit->second;
-    }
-  }
-  bool harvested = false;
-  if (src != nullptr) {
-    st->pager_copy = std::move(*src);
-    harvested = true;
-  }
-  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (plan != nullptr && !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    if (auto sit = agent(n).shadow_.find(id); sit != agent(n).shadow_.end()) {
-      sit->second.erase(page);
-      if (sit->second.empty()) {
-        agent(n).shadow_.erase(sit);
-      }
-    }
-  }
+  bool harvested = TakeShadowCopy(id, page, new_owner, st->pager_copy);
   if (!harvested) {
     // Any surviving read copy is coherent with the last committed write
     // (writes invalidate readers first): the lowest alive holder seeds the
@@ -222,9 +55,27 @@ bool IvySystem::HarvestNewestCopy(const MemObjectId& id, PageIndex page, NodeId 
   return harvested;
 }
 
+void IvySystem::ResetOwnerRecord(const MemObjectId& id, PageIndex page, NodeId owner) {
+  IvyAgent::OwnerState& st = *agent(owner).OwnedState(id, page);
+  st.busy = false;
+  st.queue.clear();
+  st.lost = false;
+  // Copyset rebuild: every alive kernel still holding the page is a reader.
+  st.copyset.clear();
+  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
+    if (n == owner || !Alive(n)) {
+      continue;
+    }
+    auto rit = agent(n).reprs_.find(id);
+    if (rit != agent(n).reprs_.end() && rit->second->FindResident(page) != nullptr) {
+      st.copyset.insert(n);
+    }
+  }
+}
+
 void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId requester) {
   cluster_.AssertDriverQuiescent("IVY reclaim from inside a shard window");
-  IvyObjectInfo& obj = info(id);
+  DirectoryRecord& obj = info(id);
   FaultPlan* plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
   if (plan == nullptr || !plan->NodeAlive(requester, now)) {
@@ -263,41 +114,12 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
   IvyAgent& ra = agent(requester);
   IvyAgent::ObjState& ros = ra.obj_state(id);
   IvyAgent::OwnerState& st = ros.owned[page];
-  st.busy = false;
-  st.queue.clear();
-  st.lost = false;
-  st.copyset.clear();
-  // Copyset rebuild: every alive kernel still holding the page is a reader.
-  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (n == requester || !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    auto rit = agent(n).reprs_.find(id);
-    if (rit != agent(n).reprs_.end() && rit->second->FindResident(page) != nullptr) {
-      st.copyset.insert(n);
-    }
-  }
+  ResetOwnerRecord(id, page, requester);
   if (!HarvestNewestCopy(id, page, requester) && st.copyset.empty() &&
       !(obj.home == requester && obj.backing != nullptr)) {
-    // No replica anywhere. If some survivor witnessed the page as committed
-    // (a manifest, or a primary's own ledger), the contents are provably
-    // lost; otherwise the page was never written and zero-fills.
-    bool committed = false;
-    for (NodeId n = 0; n < cluster_.node_count() && !committed; ++n) {
-      if (!plan->NodeAlive(n, now)) {
-        continue;
-      }
-      IvyAgent& a = agent(n);
-      if (auto mit = a.shadow_manifest_.find(id); mit != a.shadow_manifest_.end()) {
-        committed = mit->second.count(page) != 0;
-      }
-      if (!committed) {
-        if (auto lit = a.sent_shadow_.find(id); lit != a.sent_shadow_.end()) {
-          committed = lit->second.count(page) != 0;
-        }
-      }
-    }
-    if (committed) {
+    // No replica anywhere: lost if some survivor witnessed the commit,
+    // otherwise never written (zero-fill).
+    if (SurvivorWitnessedCommit(id, page)) {
       st.lost = true;
       cluster_.stats().Add(kStatLostPages);
     }
@@ -327,130 +149,36 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
     obj.home = requester;
     obj.backing = std::make_unique<AnonBacking>(cluster_.engine_for(requester),
                                                 cluster_.default_pager(requester),
-                                                NextIvyBackingKey());
+                                                NextBackingKey());
   }
   ++obj.epoch;
   cluster_.stats().Add(kStatIvyOwnerReclaims);
   ra.Trace(TraceKind::kPromote, id, page, owner, static_cast<int64_t>(obj.epoch));
 }
 
-void IvySystem::ReportDeath(NodeId reporter, NodeId dead) {
-  const FailoverConfig& fo = cluster_.params().failover;
-  if (!fo.enabled || !fo.death_notices) {
-    return;  // A/B baseline: every agent pays its own detection horizon
-  }
-  cluster_.mutator().Enqueue(reporter, [this, dead]() { ApplyDeathNotice(dead); });
-}
-
-void IvySystem::ApplyDeathNotice(NodeId dead) {
-  cluster_.AssertDriverQuiescent("IVY death notice from inside a shard window");
-  FaultPlan* plan = cluster_.fault_plan();
-  const SimTime now = cluster_.Now();
-  if (plan == nullptr || plan->NodeAlive(dead, now)) {
-    return;  // stale notice: the victim already rejoined
-  }
-  if (!death_noticed_.insert(dead).second) {
-    return;  // first notice wins
-  }
-  cluster_.stats().Add(kStatDeathNotices);
-  ASVM_LOG_WARN << "ivy: death notice for node " << dead;
-  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (n == dead || !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    IvyAgent& a = agent(n);
-    // Order matters: cut the probable-owner chains through the corpse and
-    // re-target any shadow stream feeding it first, so nothing computed below
-    // aims at the node being buried; then fail every pending op against it
-    // (cancels remaining backoff immediately — no second detection horizon).
-    a.CutChains(dead);
-    a.RetargetShadowStream(dead);
-    a.FailOpsOnDeadTargets();
-  }
-}
-
 void IvySystem::ColdRestart(NodeId node) {
   cluster_.AssertDriverQuiescent("IVY cold restart from inside a shard window");
   cluster_.stats().Add(kStatRestarts);
+  PurgeResidentPages(node);
+  ResetFailoverState(node);
   IvyAgent& a = agent(node);
-  NodeVm& vm = cluster_.vm(node);
-  FaultPlan* plan = cluster_.fault_plan();
-  const SimTime now = cluster_.Now();
-  // Volatile state died with the node: every resident page of every local
-  // representation (objects and pages in sorted order — shard invariance).
-  std::vector<MemObjectId> ids;
-  ids.reserve(a.reprs_.size());
-  for (const auto& [id, repr] : a.reprs_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
-    VmObject& repr = *a.reprs_.at(id);
-    std::vector<PageIndex> pages;
-    pages.reserve(repr.resident_pages().size());
-    for (const auto& [page, vp] : repr.resident_pages()) {
-      pages.push_back(page);
-    }
-    std::sort(pages.begin(), pages.end());
-    for (PageIndex page : pages) {
-      vm.RemovePage(repr, page);
-    }
-  }
-  a.shadow_.clear();
-  a.sent_shadow_.clear();
-  a.shadow_manifest_.clear();
-  a.shadow_target_ = kInvalidNode;
-  death_noticed_.erase(node);
   // Hints are volatile: reset every one to the home fallback.
-  ids.clear();
-  ids.reserve(a.objs_.size());
-  for (const auto& [id, os] : a.objs_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(a.objs_)) {
     IvyAgent::ObjState& os = *a.objs_.at(id);
     os.hints.ForEach([](PageIndex, IvyAgent::ObjState::Hint& h) { h.owner = kInvalidNode; });
     // Pages this node still owns were untouched during the outage (any fault
     // on them would have reclaimed ownership away). The records survive but
     // their contents are volatile: re-seed from the newest surviving replica,
     // the local backing (which outlives a restart), or mark them lost.
-    const IvyObjectInfo& obj = info(id);
+    const DirectoryRecord& obj = info(id);
     for (auto& [page, st] : os.owned) {
-      st.busy = false;
-      st.queue.clear();
       st.pager_copy = nullptr;
-      st.lost = false;
-      st.copyset.clear();
-      for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-        if (n == node || (plan != nullptr && !plan->NodeAlive(n, now))) {
-          continue;
-        }
-        auto rit = agent(n).reprs_.find(id);
-        if (rit != agent(n).reprs_.end() && rit->second->FindResident(page) != nullptr) {
-          st.copyset.insert(n);
-        }
-      }
+      ResetOwnerRecord(id, page, node);
       if (HarvestNewestCopy(id, page, node) || !st.copyset.empty() ||
           (obj.home == node && obj.backing != nullptr && obj.backing->HasData(page))) {
         continue;
       }
-      bool committed = false;
-      for (NodeId n = 0; n < cluster_.node_count() && !committed; ++n) {
-        if (n == node || (plan != nullptr && !plan->NodeAlive(n, now))) {
-          continue;
-        }
-        IvyAgent& peer = agent(n);
-        if (auto mit = peer.shadow_manifest_.find(id); mit != peer.shadow_manifest_.end()) {
-          committed = mit->second.count(page) != 0;
-        }
-        if (!committed) {
-          if (auto lit = peer.sent_shadow_.find(id); lit != peer.sent_shadow_.end()) {
-            committed = lit->second.count(page) != 0;
-          }
-        }
-      }
-      if (committed) {
+      if (SurvivorWitnessedCommit(id, page)) {
         st.lost = true;
         cluster_.stats().Add(kStatLostPages);
       }

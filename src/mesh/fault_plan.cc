@@ -123,6 +123,15 @@ SimTime FaultPlan::RemovedSince(NodeId node, SimTime now) const {
   return -1;
 }
 
+bool FaultPlan::RemovedForGood(NodeId node, SimTime now) const {
+  for (const NodeRemoval& r : params_.removals) {
+    if (r.node == node && r.restore_at == 0 && now >= r.at) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool FaultPlan::HasRestores() const {
   for (const NodeRemoval& r : params_.removals) {
     if (r.restore_at != 0) {

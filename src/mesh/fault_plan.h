@@ -102,6 +102,9 @@ class FaultPlan {
   // Removal time of the window covering `now`, or -1 if the node is alive at
   // `now`. Lease arithmetic measures reclaim eligibility from this instant.
   SimTime RemovedSince(NodeId node, SimTime now) const;
+  // True when a removal with no restore_at covers `now`: the node never
+  // rejoins, so nothing it sends will ever be answered.
+  bool RemovedForGood(NodeId node, SimTime now) const;
   // True when any removal schedules a rejoin (drives ColdRestart wiring).
   bool HasRestores() const;
 

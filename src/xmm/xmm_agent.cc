@@ -13,24 +13,11 @@ XmmAgent::XmmAgent(XmmSystem& system, NodeId node)
       system_(system),
       counters_(system.agent_counters()),
       vm_(system.cluster().vm(node)),
-      failover_(system.cluster().params().failover),
-      copy_threads_(system.cluster().engine_for(node), system.config().copy_pager_threads) {
+      copy_pager_(*this, system.cluster().engine_for(node), system.config().copy_pager_threads) {
   Listen(system_.cluster().norma(), ProtocolId::kXmm);
 }
 
 XmmAgent::~XmmAgent() = default;
-
-std::shared_ptr<VmObject> XmmAgent::Attach(const MemObjectId& id) {
-  auto it = reprs_.find(id);
-  if (it != reprs_.end()) {
-    return it->second;
-  }
-  XmmObjectInfo& info = system_.info(id);
-  auto repr = vm_.CreateObject(info.pages, CopyStrategy::kAsymmetric);
-  vm_.RegisterManaged(repr, id, this);
-  reprs_[id] = repr;
-  return repr;
-}
 
 size_t XmmAgent::MetadataBytes() const {
   size_t bytes = 0;
@@ -46,13 +33,7 @@ bool XmmAgent::DescribeStall(std::string& out) const {
   bool blocked = ProtocolAgent::DescribeStall(out);
   // Manager-side picture: pages stuck busy and the requests parked behind
   // them. Objects are sorted so the report is deterministic.
-  std::vector<MemObjectId> ids;
-  ids.reserve(manager_.size());
-  for (const auto& [id, ms] : manager_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
+  for (const MemObjectId& id : SortedKeys(manager_)) {
     const ManagerState& ms = *manager_.at(id);
     ms.pages.ForEach([&](PageIndex page, const ManagerState::PageCtl& ctl) {
       if (!ctl.busy && ctl.queue.empty()) {
@@ -85,39 +66,18 @@ void XmmAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) 
 
 void XmmAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess access,
                            bool has_copy, uint64_t reuse_op) {
-  const XmmObjectInfo& info = system_.info(id);
-  XmmRequest req{id, page, access, node_, has_copy};
+  const DirectoryRecord& info = system_.info(id);
   if (info.IsCopyObject()) {
-    // A child's own modified pages paged out locally take priority over the
-    // frozen parent copy at the internal pager.
-    auto repr_it = reprs_.find(id);
-    if (repr_it != reprs_.end() &&
-        vm_.default_pager()->HasPage(repr_it->second->serial(), page)) {
-      auto repr = repr_it->second;
-      vm_.default_pager()->ReadPage(repr->serial(), page, [this, repr, page](PageBuffer data) {
-        vm_.DataSupply(*repr, page, std::move(data), PageAccess::kWrite);
-      });
-      return;
-    }
-    // Copy-pager object: the "pager" is the internal pager on the fork
-    // source, reached over NORMA like everything else.
-    XmmCopyFault fault{id, page, node_, {node_}};
-    if (copy_fault_path_ != nullptr) {
-      // We are ourselves inside a copy fault: extend the blocking chain.
-      fault.path = *copy_fault_path_;
-      fault.path.push_back(node_);
-    }
-    Trace(TraceKind::kXmmRequest, id, page, info.copy_pager_node,
-          static_cast<int64_t>(access));
-    Send(info.copy_pager_node, XmmMsgType::kCopyFault, fault);
+    copy_pager_.Request(id, page, access, info.copy_pager_node);
     return;
   }
-  Trace(TraceKind::kXmmRequest, id, page, info.manager, static_cast<int64_t>(access));
-  if (info.manager == node_) {
+  XmmRequest req{id, page, access, node_, has_copy};
+  Trace(TraceKind::kXmmRequest, id, page, info.home, static_cast<int64_t>(access));
+  if (info.home == node_) {
     ManagerHandle(std::move(req));
     return;
   }
-  if (failover_.enabled && retry_policy().timeout_ns > 0) {
+  if (ArmsRequests()) {
     // Arm a pending op on the request itself so manager silence is detected.
     // The resend re-reads the directory: if another origin already promoted
     // the backup, retries go straight to the new manager. A reissue keeps the
@@ -126,119 +86,33 @@ void XmmAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
     req.op_id = reuse_op != 0 ? reuse_op : system_.NextOpId(node_);
     RegisterOp(req.op_id, 1, "xmm-request", id, page);
     if (PendingOp* op = FindOp(req.op_id); op != nullptr) {
-      op->targets = {info.manager};
+      op->targets = {info.home};
+      // kNodeDown: promote the dead manager's backup, then replay the request
+      // against the new manager under the original op id.
       op->on_fail = [this, id, page, access, has_copy, op_id = req.op_id](Status) {
-        ReissueAfterPromotion(id, page, access, has_copy, op_id);
+        ReissueAfter([this, id]() { system_.PromoteIfManagerDead(id); },
+                     [this, id, page, access, has_copy, op_id]() {
+                       SendRequest(id, page, access, has_copy, op_id);
+                     });
       };
     }
     ArmOp(req.op_id, [this, req]() {
-      const XmmObjectInfo& current = system_.info(req.object);
+      const DirectoryRecord& current = system_.info(req.object);
       if (PendingOp* op = FindOp(req.op_id); op != nullptr) {
-        op->targets = {current.manager};
+        op->targets = {current.home};
       }
-      if (current.manager == node_) {
+      if (current.home == node_) {
         ManagerHandle(req);  // the promotion landed the manager role here
       } else {
-        Send(current.manager, XmmMsgType::kRequest, req);
+        Send(current.home, XmmMsgType::kRequest, req);
       }
     });
   }
-  Send(info.manager, XmmMsgType::kRequest, req);
+  Send(info.home, XmmMsgType::kRequest, req);
 }
 
-bool XmmAgent::Deposed(const XmmObjectInfo& info) const {
-  return failover_.enabled && info.manager != node_;
-}
-
-void XmmAgent::MirrorToBackup(NodeId primary, const MemObjectId& id, PageIndex page,
-                              const PageBuffer& data) {
-  if (!failover_.enabled) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(primary, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    return;
-  }
-  if (primary == node_) {
-    // Stranded-shadow repair: if the ring rule now names a different backup
-    // than the one this stream has been feeding (the old one died, or rejoined
-    // with cold caches), replay the whole ledger there before the new update.
-    // In a healthy run the target never changes, so this costs nothing.
-    if (backup != shadow_target_ && shadow_target_ != kInvalidNode) {
-      ReplayShadowLedger(backup);
-    }
-    shadow_target_ = backup;
-    sent_shadow_[id][page] = ClonePage(data);
-  }
-  if (stats_ != nullptr) {
-    counters_.shadow_updates.Add(*stats_, kStatShadowUpdates);
-  }
-  if (backup == node_) {
-    // We are the primary's backup ourselves (eviction redirect): no wire hop.
-    shadow_[id][page] = ClonePage(data);
-    SendShadowManifest(id, page, backup);
-    return;
-  }
-  Send(backup, XmmMsgType::kShadowUpdate, XmmShadowUpdate{id, page}, ClonePage(data));
-  SendShadowManifest(id, page, backup);
-}
-
-void XmmAgent::SendShadowManifest(const MemObjectId& id, PageIndex page, NodeId backup) {
-  // The witness is the backup's own successor: a control-only record that the
-  // page was committed, surviving the simultaneous loss of primary + backup so
-  // promotion can answer kDataLost instead of zero-filling (DESIGN.md §14).
-  const NodeId witness = RingSuccessor(backup, system_.cluster().node_count(),
-                                       system_.cluster().fault_plan(), engine().Now());
-  if (witness == kInvalidNode || witness == node_) {
-    return;  // two-node cluster: the primary itself is the only other survivor
-  }
-  Send(witness, XmmMsgType::kShadowManifest, XmmShadowUpdate{id, page});
-}
-
-void XmmAgent::ReplayShadowLedger(NodeId backup) {
-  for (auto& [id, pages] : sent_shadow_) {
-    for (auto& [page, buf] : pages) {
-      if (stats_ != nullptr) {
-        counters_.shadow_restreams.Add(*stats_, kStatShadowRestreams);
-      }
-      Send(backup, XmmMsgType::kShadowUpdate, XmmShadowUpdate{id, page}, ClonePage(buf));
-      SendShadowManifest(id, page, backup);
-    }
-  }
-}
-
-void XmmAgent::RetargetShadowStream(NodeId dead) {
-  if (!failover_.enabled || shadow_target_ != dead || sent_shadow_.empty()) {
-    return;
-  }
-  const NodeId backup = RingSuccessor(node_, system_.cluster().node_count(),
-                                      system_.cluster().fault_plan(), engine().Now());
-  if (backup == kInvalidNode) {
-    shadow_target_ = kInvalidNode;
-    return;
-  }
-  shadow_target_ = backup;
-  // Called from a death-notice mutation (all engines quiescent): the replay
-  // sends are ordinary engine work, so post them onto this node's timeline.
-  engine().Post([this, backup]() { ReplayShadowLedger(backup); });
-}
-
-void XmmAgent::ReissueAfterPromotion(const MemObjectId& id, PageIndex page, PageAccess access,
-                                     bool has_copy, uint64_t reuse_op) {
-  // The manager is confirmed removed. Promote its backup at the next
-  // sequencing point — a cluster mutation, so every origin observes the
-  // handover in the same global order at every shard count — then replay the
-  // request against the new manager from this node's own engine.
-  system_.cluster().mutator().Enqueue(node_, [this, id, page, access, has_copy, reuse_op]() {
-    system_.PromoteIfManagerDead(id);
-    engine().Post([this, id, page, access, has_copy, reuse_op]() {
-      if (stats_ != nullptr) {
-        counters_.reissues.Add(*stats_, kStatReissues);
-      }
-      SendRequest(id, page, access, has_copy, reuse_op);
-    });
-  });
+bool XmmAgent::Deposed(const DirectoryRecord& info) const {
+  return failover_.enabled && info.home != node_;
 }
 
 EvictAction XmmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data, bool dirty) {
@@ -255,26 +129,20 @@ EvictAction XmmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   if (stats_ != nullptr) {
     counters_.evict_returns.Add(*stats_, "xmm.evict_returns");
   }
-  const XmmObjectInfo& info = system_.info(object.id());
+  const DirectoryRecord& info = system_.info(object.id());
   if (info.IsCopyObject()) {
-    // The child's private modifications page out to the local default pager;
-    // the internal pager only serves the frozen parent snapshot.
-    vm_.default_pager()->WritePage(object.serial(), page, std::move(data));
-    return EvictAction::kTaken;
+    return copy_pager_.PageOut(object, page, std::move(data));
   }
-  if (failover_.enabled && !info.file_backed) {
-    if (const FaultPlan* plan = system_.cluster().fault_plan();
-        plan != nullptr && !plan->NodeAlive(info.manager, engine().Now())) {
-      // The manager is dead: a data return would be black-holed, losing the
-      // only copy. Ship the contents to the manager's backup instead;
-      // promotion turns the shadow entry into the new manager's pager copy.
-      MirrorToBackup(info.manager, object.id(), page, data);
-      return EvictAction::kTaken;
-    }
+  if (!info.file_backed && NodeDead(info.home)) {
+    // The manager is dead: a data return would be black-holed, losing the
+    // only copy. Ship the contents to the manager's backup instead;
+    // promotion turns the shadow entry into the new manager's pager copy.
+    shadow().MirrorToBackup(info.home, object.id(), page, /*version=*/0, data);
+    return EvictAction::kTaken;
   }
   XmmFlushWriteReply ret{object.id(), page, /*dirty=*/true, /*was_resident=*/true,
                          /*op_id=*/0};
-  Send(info.manager, XmmMsgType::kFlushWriteReply, ret, ClonePage(data));
+  Send(info.home, XmmMsgType::kFlushWriteReply, ret, ClonePage(data));
   return EvictAction::kTaken;
 }
 
@@ -287,7 +155,7 @@ XmmAgent::ManagerState& XmmAgent::mgr_state(const MemObjectId& id) {
   auto it = manager_.find(id);
   if (it == manager_.end()) {
     auto ms = std::make_unique<ManagerState>();
-    const XmmObjectInfo& info = system_.info(id);
+    const DirectoryRecord& info = system_.info(id);
     // The centralized manager's state table: 1 byte of non-pageable memory
     // per page per node (§3.1, "Limited Memory Requirements").
     ms->access.assign(info.pages * system_.cluster().node_count(), 0);
@@ -341,7 +209,7 @@ Future<Status> XmmAgent::StackProcess() {
 
 Task XmmAgent::ManagerServe(XmmRequest req) {
   Engine& engine = vm_.engine();
-  XmmObjectInfo& info = system_.info(req.object);
+  DirectoryRecord& info = system_.info(req.object);
   ManagerState& ms = mgr_state(req.object);
 
   // XMM stack processing at the manager (proxy + manager layer work),
@@ -382,27 +250,19 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
   // for in-range pages.
   NodeId writer = FindWriter(ms, req.object, req.page);
   ManagerState::PageCtl& ctl = ms.pages.GetOrCreate(req.page);
-  if (failover_.enabled && writer != kInvalidNode && writer != req.origin) {
+  if (writer != kInvalidNode && writer != req.origin && LeaseExpired(writer)) {
     // Lease check: a removed writer can never answer a flush. Once its lease
     // has expired the manager reclaims the page without the round — the last
     // contents died with the node, exactly as on the kNodeDown path below.
-    if (const FaultPlan* plan = system_.cluster().fault_plan(); plan != nullptr) {
-      const SimTime since = plan->RemovedSince(writer, engine.Now());
-      if (since >= 0 && engine.Now() >= since + failover_.lease_ns) {
-        AccessByte(ms, req.page, writer) = 0;
-        if (stats_ != nullptr) {
-          counters_.lease_reclaims.Add(*stats_, kStatLeaseReclaims);
-        }
-        Trace(TraceKind::kLeaseReclaim, req.object, req.page, writer);
-        writer = kInvalidNode;
-      }
+    AccessByte(ms, req.page, writer) = 0;
+    if (stats_ != nullptr) {
+      counters_.lease_reclaims.Add(*stats_, kStatLeaseReclaims);
     }
+    Trace(TraceKind::kLeaseReclaim, req.object, req.page, writer);
+    writer = kInvalidNode;
   }
   if (writer != kInvalidNode && writer != req.origin) {
-    const uint64_t op = OpenOp(1, "flush-write", req.object, req.page);
-    if (PendingOp* pending = FindOp(op); pending != nullptr) {
-      pending->targets = {writer};
-    }
+    const uint64_t op = OpenRound({writer}, "flush-write", req.object, req.page);
     Future<Status> flushed = OpFuture(op);
     Trace(TraceKind::kXmmFlush, req.object, req.page, writer, /*aux=*/1, op);
     Send(writer, XmmMsgType::kFlushWrite, XmmFlush{req.object, req.page, op});
@@ -443,7 +303,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
           }
         }
         if (!info.file_backed) {
-          MirrorToBackup(node_, req.object, req.page, data);
+          shadow().MirrorToBackup(node_, req.object, req.page, /*version=*/0, data);
         }
       }
       ctl.pager_copy = std::move(data);
@@ -452,33 +312,11 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
 
   // Step 2: a write request flushes every reader (except the requester).
   if (req.access == PageAccess::kWrite) {
-    std::vector<NodeId> readers = FindReaders(ms, req.object, req.page, req.origin);
-    if (failover_.enabled && !readers.empty()) {
-      // Removed readers' copies died with them: drop them from the round
-      // instead of burning the full retry horizon on silence.
-      if (const FaultPlan* plan = system_.cluster().fault_plan(); plan != nullptr) {
-        const SimTime now = engine.Now();
-        std::vector<NodeId> alive;
-        alive.reserve(readers.size());
-        for (NodeId r : readers) {
-          if (plan->NodeAlive(r, now)) {
-            alive.push_back(r);
-          } else {
-            AccessByte(ms, req.page, r) = 0;
-            // First confirmation of a bystander's death: gossip it so every
-            // survivor cancels its own ops against the victim immediately.
-            system_.ReportDeath(node_, r);
-          }
-        }
-        readers = std::move(alive);
-      }
-    }
+    const std::vector<NodeId> readers =
+        DropDeadTargets(FindReaders(ms, req.object, req.page, req.origin),
+                        [&](NodeId r) { AccessByte(ms, req.page, r) = 0; });
     if (!readers.empty()) {
-      const uint64_t op =
-          OpenOp(static_cast<int>(readers.size()), "flush-read-round", req.object, req.page);
-      if (PendingOp* pending = FindOp(op); pending != nullptr) {
-        pending->targets = readers;
-      }
+      const uint64_t op = OpenRound(readers, "flush-read-round", req.object, req.page);
       Future<Status> acked = OpFuture(op);
       for (NodeId r : readers) {
         Trace(TraceKind::kXmmFlush, req.object, req.page, r, /*aux=*/2, op);
@@ -487,16 +325,8 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
           counters_.reader_flushes.Add(*stats_, "xmm.reader_flushes");
         }
       }
-      ArmOp(op, [this, object = req.object, page = req.page, op, readers]() {
-        const PendingOp* pending = FindOp(op);
-        for (NodeId r : readers) {
-          if (pending != nullptr &&
-              std::find(pending->acked.begin(), pending->acked.end(), r) !=
-                  pending->acked.end()) {
-            continue;
-          }
-          Send(r, XmmMsgType::kFlushRead, XmmFlush{object, page, op});
-        }
+      ArmRound(op, [this, object = req.object, page = req.page, op](NodeId r) {
+        Send(r, XmmMsgType::kFlushRead, XmmFlush{object, page, op});
       });
       co_await acked;
       EraseOp(op);
@@ -525,10 +355,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
     co_await Delay(engine, supply_cost);
     data = ClonePage(ctl.pager_copy);
   } else if (info.backing != nullptr && info.backing->HasData(req.page)) {
-    Promise<PageBuffer> read_done(engine);
-    info.backing->Read(req.page, vm_.page_size(),
-                       [read_done](PageBuffer d) { read_done.Set(std::move(d)); });
-    data = co_await read_done.GetFuture();
+    data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
     co_await Delay(engine, info.file_backed ? 0 : system_.config().pager_supply_ns);
   } else {
     Promise<Status> grant(engine);
@@ -571,64 +398,10 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
   }
 }
 
-// --- Copy pager role -------------------------------------------------------------
-
-Task XmmAgent::CopyFaultTask(NodeId src, XmmCopyFault m) {
-  auto it = copy_pagers_.find(m.object);
-  ASVM_CHECK_MSG(it != copy_pagers_.end(), "copy fault for unknown internal pager");
-  CopyPagerEntry entry = it->second;
-
-  // The internal pager thread blocks for the whole fault (§2.3.3) — the
-  // design flaw ASVM's asynchronous state transitions remove (§3.1).
-  if (copy_threads_.available() == 0 &&
-      std::find(m.path.begin(), m.path.end(), node_) != m.path.end()) {
-    // The chain crossed this node before and every thread is blocked on it:
-    // the deadlock the paper describes.
-    if (stats_ != nullptr) {
-      counters_.copy_deadlocks.Add(*stats_, "xmm.copy_deadlocks");
-    }
-    Send(src, XmmMsgType::kCopyFaultReply,
-         XmmCopyFaultReply{m.object, m.page, false, /*deadlock=*/true});
-    co_return;
-  }
-  co_await copy_threads_.Acquire();
-  co_await StackProcess();
-  if (stats_ != nullptr) {
-    counters_.copy_faults.Add(*stats_, "xmm.copy_faults");
-  }
-  Trace(TraceKind::kXmmCopyFault, m.object, m.page, src);
-
-  // Fault the frozen local copy address space. If its objects are themselves
-  // copy-pager objects from an earlier inbound fork, this recurses across
-  // nodes — one blocking NORMA round trip per chain stage.
-  const VmOffset addr = (entry.base_page + static_cast<VmOffset>(m.page)) * vm_.page_size();
-  // Thread the path through so nested copy faults can detect cycles.
-  copy_fault_path_ = &m.path;
-  Status s = co_await vm_.Fault(*entry.copy_map, addr, PageAccess::kRead);
-  copy_fault_path_ = nullptr;
-  if (!IsOk(s)) {
-    copy_threads_.Release();
-    Send(src, XmmMsgType::kCopyFaultReply,
-         XmmCopyFaultReply{m.object, m.page, false, /*deadlock=*/s == Status::kDeadlock});
-    co_return;
-  }
-  std::byte* p = vm_.TryAccess(*entry.copy_map, addr, PageAccess::kRead);
-  PageBuffer data;
-  bool zero = true;
-  if (p != nullptr) {
-    data = AllocPage(vm_.page_size());
-    std::memcpy(data->data(), p - (addr % vm_.page_size()), vm_.page_size());
-    zero = PageIsZero(data);
-  }
-  copy_threads_.Release();
-  Send(src, XmmMsgType::kCopyFaultReply, XmmCopyFaultReply{m.object, m.page, zero, false},
-       zero ? nullptr : std::move(data));
-}
-
 // --- Dispatcher -------------------------------------------------------------------
 
 void XmmAgent::OnMessage(NodeId src, Message msg) {
-  XmmBody body = std::get<XmmBody>(std::move(msg.body));
+  XmmBody& body = std::get<XmmBody>(msg.body);
   // -Werror=switch keeps this dispatcher exhaustive over XmmMsgType.
   switch (static_cast<XmmMsgType>(msg.type)) {
     case XmmMsgType::kRequest: {
@@ -702,12 +475,12 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
         ManagerState::PageCtl& ctl = ms.pages.GetOrCreate(m.page);
         ctl.pager_copy = std::move(msg.page);
         AccessByte(ms, m.page, src) = 0;
-        XmmObjectInfo& info = system_.info(m.object);
+        DirectoryRecord& info = system_.info(m.object);
         if (info.backing != nullptr && m.dirty) {
           info.backing->Write(m.page, ClonePage(ctl.pager_copy), []() {});
         }
         if (m.dirty && !info.file_backed) {
-          MirrorToBackup(node_, m.object, m.page, ctl.pager_copy);
+          shadow().MirrorToBackup(node_, m.object, m.page, /*version=*/0, ctl.pager_copy);
         }
         return;
       }
@@ -748,30 +521,17 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
       return;
     }
     case XmmMsgType::kCopyFault:
-      (void)CopyFaultTask(src, std::get<XmmCopyFault>(std::move(body)));
+      (void)copy_pager_.Serve(src, std::get<CopyFault>(std::move(body)));
       return;
-    case XmmMsgType::kShadowUpdate: {
-      const auto& m = std::get<XmmShadowUpdate>(body);
-      shadow_[m.object][m.page] = std::move(msg.page);
+    case XmmMsgType::kShadowUpdate:
+      shadow().OnUpdate(std::get<ShadowUpdate>(body), std::move(msg.page));
       return;
-    }
-    case XmmMsgType::kShadowManifest: {
-      const auto& m = std::get<XmmShadowUpdate>(body);
-      shadow_manifest_[m.object].insert(m.page);
+    case XmmMsgType::kShadowManifest:
+      shadow().OnManifest(std::get<ShadowUpdate>(body));
       return;
-    }
-    case XmmMsgType::kCopyFaultReply: {
-      const auto& m = std::get<XmmCopyFaultReply>(body);
-      auto repr = reprs_.at(m.object);
-      if (m.deadlock) {
-        vm_.FaultFailed(*repr, m.page, Status::kDeadlock);
-      } else if (m.zero_fill) {
-        vm_.DataUnavailable(*repr, m.page, PageAccess::kWrite);
-      } else {
-        vm_.DataSupply(*repr, m.page, std::move(msg.page), PageAccess::kWrite);
-      }
+    case XmmMsgType::kCopyFaultReply:
+      copy_pager_.OnReply(std::get<CopyFaultReply>(body), std::move(msg.page));
       return;
-    }
   }
   ASVM_CHECK_MSG(false, "unknown XMM message type");
 }
@@ -784,6 +544,11 @@ void XmmAgent::Send(NodeId to, XmmMsgType type, XmmBody body, PageBuffer page) {
   msg.body = std::move(body);
   msg.page = std::move(page);
   system_.cluster().norma().Send(node_, to, std::move(msg));
+}
+
+void XmmAgent::SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) {
+  Send(to, manifest ? XmmMsgType::kShadowManifest : XmmMsgType::kShadowUpdate, m,
+       std::move(page));
 }
 
 }  // namespace asvm

@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <variant>
-#include <vector>
 
 #include "src/common/types.h"
+#include "src/dsm/dsm_messages.h"
 
 namespace asvm {
 
@@ -22,7 +22,7 @@ enum class XmmMsgType : uint32_t {
   kFlushReadAck,
   kCopyFault,        // remote child -> internal copy pager on the source node
   kCopyFaultReply,
-  kShadowUpdate,     // manager -> backup: replicated directory/page state
+  kShadowUpdate,     // manager -> backup: replicated page contents (failover)
   kShadowManifest,   // manager -> witness: "this page was committed" (no data)
 };
 
@@ -50,19 +50,6 @@ struct XmmReply {
   bool lost = false;
 };
 
-// Manager -> backup: the page contents the manager just accepted into its
-// coherent pager-level copy (dirty cleaning or eviction return). The backup
-// keeps the newest buffer per page; on promotion it becomes the new
-// manager's pager copy, replacing the paging space that died with the node.
-// The same body (no page payload) rides kShadowManifest to the backup's own
-// successor — a witness record that the page was committed, so a promotion
-// that finds neither shadow data nor a surviving copy can tell "never
-// written" (zero-fill) apart from "written and lost" (kDataLost).
-struct XmmShadowUpdate {
-  MemObjectId object;
-  PageIndex page = kInvalidPage;
-};
-
 struct XmmFlush {
   MemObjectId object;
   PageIndex page = kInvalidPage;
@@ -77,27 +64,11 @@ struct XmmFlushWriteReply {
   uint64_t op_id = 0;
 };
 
-struct XmmCopyFault {
-  MemObjectId object;            // the internal-pager object
-  PageIndex page = kInvalidPage;
-  NodeId origin = kInvalidNode;
-  // Nodes whose copy-pager threads are blocked on this request chain; used
-  // for the deadlock the paper ascribes to XMM's synchronous design (§3.1).
-  std::vector<NodeId> path;
-};
-
-struct XmmCopyFaultReply {
-  MemObjectId object;
-  PageIndex page = kInvalidPage;
-  bool zero_fill = false;
-  bool deadlock = false;
-};
-
 // Typed envelope body for the XMMI protocol; one alternative per wire format
 // (XmmFlush serves both flush directions, XmmFlushWriteReply doubles as the
 // read-flush ack — the type tag disambiguates, as on the real wire).
-using XmmBody = std::variant<XmmRequest, XmmReply, XmmFlush, XmmFlushWriteReply, XmmCopyFault,
-                             XmmCopyFaultReply, XmmShadowUpdate>;
+using XmmBody = std::variant<XmmRequest, XmmReply, XmmFlush, XmmFlushWriteReply, CopyFault,
+                             CopyFaultReply, ShadowUpdate>;
 
 // Stats/debug label per message type; exhaustive under -Werror=switch.
 constexpr const char* MsgTypeName(XmmMsgType type) {

@@ -1,7 +1,6 @@
 #include "src/xmm/xmm_system.h"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "src/common/log.h"
 #include "src/dsm/failover.h"
@@ -10,160 +9,26 @@
 namespace asvm {
 
 XmmSystem::XmmSystem(Cluster& cluster, XmmConfig config)
-    : cluster_(cluster), config_(config) {
-  InitOpIds(cluster.node_count());
-  agents_.reserve(cluster.node_count());
-  for (NodeId n = 0; n < cluster.node_count(); ++n) {
-    agents_.push_back(std::make_unique<XmmAgent>(*this, n));
-  }
+    : DirectorySystem(cluster, /*backing_tag=*/1ULL << 62), config_(config) {
+  CreateAgents(*this);
 }
 
 XmmSystem::~XmmSystem() = default;
-
-XmmObjectInfo& XmmSystem::info(const MemObjectId& id) {
-  auto it = directory_.find(id);
-  ASVM_CHECK_MSG(it != directory_.end(), "unknown XMM object");
-  return *it->second;
-}
-
-MemObjectId XmmSystem::CreateSharedRegion(NodeId home, VmSize pages) {
-  cluster_.AssertDriverQuiescent("XMM CreateSharedRegion from inside a shard window");
-  MemObjectId id = NewObjectId(home);
-  auto info = std::make_unique<XmmObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->manager = home;
-  info->backing = std::make_unique<AnonBacking>(cluster_.engine_for(home),
-                                                cluster_.default_pager(home),
-                                                NextXmmBackingKey());
-  directory_[id] = std::move(info);
-  return id;
-}
-
-MemObjectId XmmSystem::CreateFileRegion(int32_t file_id, VmSize pages) {
-  cluster_.AssertDriverQuiescent("XMM CreateFileRegion from inside a shard window");
-  FilePager& pager = cluster_.file_pager();
-  MemObjectId id = NewObjectId(pager.node());
-  auto info = std::make_unique<XmmObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->manager = pager.node();
-  info->backing = std::make_unique<FileBacking>(pager, file_id);
-  info->file_backed = true;
-  directory_[id] = std::move(info);
-  return id;
-}
-
-MemObjectId XmmSystem::CreateStripedRegion(const std::vector<StripedBacking::Stripe>& stripes,
-                                           VmSize pages) {
-  cluster_.AssertDriverQuiescent("XMM CreateStripedRegion from inside a shard window");
-  ASVM_CHECK(!stripes.empty());
-  // The stripes scale the disks, but XMM still has exactly one manager.
-  MemObjectId id = NewObjectId(stripes[0].pager->node());
-  auto info = std::make_unique<XmmObjectInfo>();
-  info->id = id;
-  info->pages = pages;
-  info->manager = stripes[0].pager->node();
-  info->backing = std::make_unique<StripedBacking>(stripes);
-  info->file_backed = true;
-  directory_[id] = std::move(info);
-  return id;
-}
-
-std::shared_ptr<VmObject> XmmSystem::Attach(NodeId node, const MemObjectId& id) {
-  return agent(node).Attach(id);
-}
-
-Future<VmMap*> XmmSystem::RemoteFork(NodeId src, VmMap& parent, NodeId dst) {
-  // Forks mutate the directory mid-run; arm the mutation API before the first
-  // drain so the cluster runs on the windowed, mutation-aware schedule.
-  cluster_.mutator().Arm();
-  Promise<VmMap*> done(cluster_.engine_for(src));
-  (void)RemoteForkTask(src, parent, dst, done);
-  return done.GetFuture();
-}
-
-Task XmmSystem::RemoteForkTask(NodeId src, VmMap& parent, NodeId dst, Promise<VmMap*> done) {
-  Engine& engine = cluster_.engine_for(src);
-  // Task creation ships the map description over NORMA.
-  co_await Delay(engine, 800 * kMicrosecond);
-  // The structural work mutates the directory and both nodes' VM state, so it
-  // runs as one mutation at the next deterministic sequencing point (every
-  // engine quiescent), one lookahead after this instant.
-  Promise<VmMap*> built(engine);
-  VmMap* parent_ptr = &parent;
-  cluster_.mutator().Enqueue(src, [this, src, parent_ptr, dst, built]() {
-    built.Set(ApplyRemoteFork(src, *parent_ptr, dst));
-  });
-  done.Set(co_await built.GetFuture());
-}
-
-VmMap* XmmSystem::ApplyRemoteFork(NodeId src, VmMap& parent, NodeId dst) {
-  cluster_.stats().Add("xmm.remote_forks");
-
-  // NMK13 leaves the work to the source node's VM: take a local fork-style
-  // copy of the address space, then export each copied range through an
-  // internal pager (§2.3.3).
-  NodeVm& src_vm = cluster_.vm(src);
-  VmMap* copy_map = src_vm.ForkMap(parent);
-
-  NodeVm& dst_vm = cluster_.vm(dst);
-  VmMap* child = dst_vm.CreateMap();
-
-  for (auto& [start, copy_entry] : copy_map->entries()) {
-    if (copy_entry.inheritance == Inheritance::kNone) {
-      continue;
-    }
-    if (copy_entry.inheritance == Inheritance::kShare) {
-      ASVM_CHECK_MSG(copy_entry.object->managed(),
-                     "NMK13 XMM cannot share anonymous memory across nodes");
-      auto repr = Attach(dst, copy_entry.object->id());
-      Status s = child->Map(copy_entry.start_page, copy_entry.page_count, repr,
-                            copy_entry.object_offset, copy_entry.inheritance);
-      ASVM_CHECK(IsOk(s));
-      continue;
-    }
-    // One internal pager per copied memory object.
-    MemObjectId id = NewObjectId(src);
-    auto info = std::make_unique<XmmObjectInfo>();
-    info->id = id;
-    info->pages = copy_entry.object->page_count();
-    info->manager = src;
-    info->copy_pager_node = src;
-    directory_[id] = std::move(info);
-
-    XmmAgent::CopyPagerEntry pager_entry;
-    pager_entry.copy_map = copy_map;
-    pager_entry.base_page = copy_entry.start_page - copy_entry.object_offset;
-    agent(src).copy_pagers_[id] = pager_entry;
-    cluster_.stats().Add("xmm.internal_pagers");
-
-    auto repr = Attach(dst, id);
-    Status s = child->Map(copy_entry.start_page, copy_entry.page_count, repr,
-                          copy_entry.object_offset, Inheritance::kCopy);
-    ASVM_CHECK(IsOk(s));
-  }
-  return child;
-}
-
-size_t XmmSystem::MetadataBytes(NodeId node) const {
-  return agents_.at(node)->MetadataBytes();
-}
 
 // --- Failover ----------------------------------------------------------------
 
 void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
   cluster_.AssertDriverQuiescent("XMM promotion from inside a shard window");
-  XmmObjectInfo& obj = info(id);
+  DirectoryRecord& obj = info(id);
   FaultPlan* plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
-  if (plan == nullptr || plan->NodeAlive(obj.manager, now)) {
+  if (plan == nullptr || plan->NodeAlive(obj.home, now)) {
     return;  // an earlier mutation this barrier already promoted (idempotent)
   }
-  const NodeId old_manager = obj.manager;
+  const NodeId old_manager = obj.home;
   const NodeId new_manager = RingSuccessor(old_manager, cluster_.node_count(), plan, now);
   ASVM_CHECK_MSG(new_manager != kInvalidNode, "no surviving node to promote");
-  obj.manager = new_manager;
+  obj.home = new_manager;
   // Epoch fencing: the directory's manager assignment now carries a newer
   // epoch; a deposed ex-manager (Deposed()) abandons in-flight exchanges
   // instead of serving with stale authority — across a cascade too.
@@ -175,46 +40,15 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
   if (!obj.file_backed && !obj.IsCopyObject()) {
     obj.backing = std::make_unique<AnonBacking>(cluster_.engine_for(new_manager),
                                                 cluster_.default_pager(new_manager),
-                                                NextXmmBackingKey());
+                                                NextBackingKey());
   }
   XmmAgent::ManagerState& ms = backup.mgr_state(id);
-  // Fold the shadow streams into the new manager's pager copies. Every alive
-  // store is consulted — after a cascade or a re-targeted stream the newest
-  // entry may sit somewhere other than the promoted node (preferred when it
-  // has one) — and the consumed entries are erased everywhere.
+  // Fold the shadow streams into the new manager's pager copies.
   for (PageIndex p = 0; p < static_cast<PageIndex>(obj.pages); ++p) {
-    PageBuffer* src = nullptr;
-    if (auto sit = backup.shadow_.find(id); sit != backup.shadow_.end()) {
-      if (auto pit = sit->second.find(p); pit != sit->second.end()) {
-        src = &pit->second;
-      }
-    }
-    for (NodeId n = 0; src == nullptr && n < cluster_.node_count(); ++n) {
-      if (!plan->NodeAlive(n, now)) {
-        continue;
-      }
-      auto sit = agent(n).shadow_.find(id);
-      if (sit == agent(n).shadow_.end()) {
-        continue;
-      }
-      if (auto pit = sit->second.find(p); pit != sit->second.end()) {
-        src = &pit->second;
-      }
-    }
-    if (src != nullptr) {
-      ms.pages.GetOrCreate(p).pager_copy = std::move(*src);
+    PageBuffer copy;
+    if (TakeShadowCopy(id, p, new_manager, copy)) {
+      ms.pages.GetOrCreate(p).pager_copy = std::move(copy);
       cluster_.stats().Add(kStatReconstructedPages);
-    }
-    for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-      if (!plan->NodeAlive(n, now)) {
-        continue;
-      }
-      if (auto sit = agent(n).shadow_.find(id); sit != agent(n).shadow_.end()) {
-        sit->second.erase(p);
-        if (sit->second.empty()) {
-          agent(n).shadow_.erase(sit);
-        }
-      }
     }
   }
   // Rebuild the access table by asking every surviving kernel what it holds.
@@ -265,26 +99,9 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
       if (harvested) {
         continue;
       }
-      // Provable loss: some survivor witnessed this page as committed (a
-      // manifest, or a primary's own ledger), but no copy survived anywhere.
-      // Faults answer Status::kDataLost instead of inventing zeros; pages
-      // with no witness are genuinely never-written and zero-fill.
-      bool committed = false;
-      for (NodeId n = 0; n < cluster_.node_count() && !committed; ++n) {
-        if (!plan->NodeAlive(n, now)) {
-          continue;
-        }
-        XmmAgent& a = agent(n);
-        if (auto mit = a.shadow_manifest_.find(id); mit != a.shadow_manifest_.end()) {
-          committed = mit->second.count(p) != 0;
-        }
-        if (!committed) {
-          if (auto lit = a.sent_shadow_.find(id); lit != a.sent_shadow_.end()) {
-            committed = lit->second.count(p) != 0;
-          }
-        }
-      }
-      if (committed && ms.lost.insert(p).second) {
+      // Provable loss: a survivor witnessed the commit, but no copy survived
+      // anywhere. Faults answer Status::kDataLost instead of inventing zeros.
+      if (SurvivorWitnessedCommit(id, p) && ms.lost.insert(p).second) {
         cluster_.stats().Add(kStatLostPages);
       }
     }
@@ -303,91 +120,27 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
     }
     it->second->pages.ForEach([&](PageIndex p, XmmAgent::ManagerState::PageCtl& ctl) {
       if (ctl.pager_copy != nullptr) {
-        nm->MirrorToBackup(new_manager, id, p, ctl.pager_copy);
+        nm->shadow().MirrorToBackup(new_manager, id, p, /*version=*/0, ctl.pager_copy);
       }
     });
   });
 }
 
-void XmmSystem::ReportDeath(NodeId reporter, NodeId dead) {
-  const FailoverConfig& fo = cluster_.params().failover;
-  if (!fo.enabled || !fo.death_notices) {
-    return;  // A/B baseline: every agent pays its own detection horizon
-  }
-  // The notice applies at the next barrier, stamped at the reporter's clock —
-  // ordered against every other cluster mutation, so all shard counts see the
-  // same interleaving. Dedup happens at apply time (two agents may confirm the
-  // same death in one window).
-  cluster_.mutator().Enqueue(reporter, [this, dead]() { ApplyDeathNotice(dead); });
-}
-
-void XmmSystem::ApplyDeathNotice(NodeId dead) {
-  cluster_.AssertDriverQuiescent("XMM death notice from inside a shard window");
-  FaultPlan* plan = cluster_.fault_plan();
-  const SimTime now = cluster_.Now();
-  if (plan == nullptr || plan->NodeAlive(dead, now)) {
-    return;  // stale notice: the victim already rejoined
-  }
-  if (!death_noticed_.insert(dead).second) {
-    return;  // first notice wins
-  }
-  cluster_.stats().Add(kStatDeathNotices);
-  ASVM_LOG_WARN << "xmm: death notice for node " << dead;
-  for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (n == dead || !plan->NodeAlive(n, now)) {
-      continue;
-    }
-    XmmAgent& a = agent(n);
-    // Order matters: re-target the shadow stream first so the replay target
-    // computed below never points at the node being buried, then fail every
-    // pending op against the victim (cancels remaining backoff immediately —
-    // no second detection horizon).
-    a.RetargetShadowStream(dead);
-    a.FailOpsOnDeadTargets();
-  }
-}
-
 void XmmSystem::ColdRestart(NodeId node) {
   cluster_.AssertDriverQuiescent("XMM cold restart from inside a shard window");
   cluster_.stats().Add(kStatRestarts);
-  XmmAgent& a = agent(node);
-  NodeVm& vm = cluster_.vm(node);
-  // Volatile state died with the node: every resident page of every local
-  // representation (objects and pages visited in sorted order so the rebuild
-  // is shard-count invariant).
-  std::vector<MemObjectId> ids;
-  ids.reserve(a.reprs_.size());
-  for (const auto& [id, repr] : a.reprs_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const MemObjectId& id : ids) {
-    VmObject& repr = *a.reprs_.at(id);
-    std::vector<PageIndex> pages;
-    pages.reserve(repr.resident_pages().size());
-    for (const auto& [page, vp] : repr.resident_pages()) {
-      pages.push_back(page);
-    }
-    std::sort(pages.begin(), pages.end());
-    for (PageIndex page : pages) {
-      vm.RemovePage(repr, page);
-    }
-  }
+  PurgeResidentPages(node);
   // Any shadow state this node held as a backup — and any ledger/manifest it
   // kept as a primary or witness — is equally volatile.
-  a.shadow_.clear();
-  a.sent_shadow_.clear();
-  a.shadow_manifest_.clear();
-  a.shadow_target_ = kInvalidNode;
-  // A rejoined node can die again later; its next death must gossip afresh.
-  death_noticed_.erase(node);
+  ResetFailoverState(node);
+  XmmAgent& a = agent(node);
   // Manager records: drop state for objects promoted away while we were dark.
   // An object still managed here saw no grants during the outage (any request
   // would have promoted it away), so the surviving table is still conservative
   // — only our own column and the in-memory pager copies are volatile.
   for (auto it = a.manager_.begin(); it != a.manager_.end();) {
-    const XmmObjectInfo& obj = info(it->first);
-    if (obj.manager != node) {
+    const DirectoryRecord& obj = info(it->first);
+    if (obj.home != node) {
       it = a.manager_.erase(it);
       continue;
     }

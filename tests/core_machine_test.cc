@@ -1,5 +1,5 @@
-// Machine facade: construction of both systems, region/file APIs, remote
-// forks, and DSM-agnostic behaviour.
+// Machine facade: construction of all three systems, region/file APIs,
+// remote forks, and DSM-agnostic behaviour.
 #include <gtest/gtest.h>
 
 #include "src/core/machine.h"
@@ -15,9 +15,9 @@ MachineConfig TestConfig(DsmKind kind, int nodes) {
   return config;
 }
 
-class MachineBothSystems : public ::testing::TestWithParam<DsmKind> {};
+class MachineAllSystems : public ::testing::TestWithParam<DsmKind> {};
 
-TEST_P(MachineBothSystems, SharedRegionBasics) {
+TEST_P(MachineAllSystems, SharedRegionBasics) {
   Machine machine(TestConfig(GetParam(), 4));
   MemObjectId region = machine.CreateSharedRegion(0, 32);
   TaskMemory& a = machine.MapRegion(0, region);
@@ -32,7 +32,7 @@ TEST_P(MachineBothSystems, SharedRegionBasics) {
   EXPECT_EQ(r.value(), 7u);
 }
 
-TEST_P(MachineBothSystems, MappedFileRoundTrip) {
+TEST_P(MachineAllSystems, MappedFileRoundTrip) {
   Machine machine(TestConfig(GetParam(), 4));
   MemObjectId file = machine.CreateMappedFile("data", 16, /*prefilled=*/false);
   TaskMemory& a = machine.MapRegion(1, file);
@@ -46,7 +46,7 @@ TEST_P(MachineBothSystems, MappedFileRoundTrip) {
   EXPECT_EQ(r.value(), 12345u);
 }
 
-TEST_P(MachineBothSystems, RemoteForkSnapshot) {
+TEST_P(MachineAllSystems, RemoteForkSnapshot) {
   Machine machine(TestConfig(GetParam(), 2));
   TaskMemory& parent = machine.CreatePrivateTask(0, 8);
   auto w = parent.WriteU64(0, 55);
@@ -70,7 +70,7 @@ TEST_P(MachineBothSystems, RemoteForkSnapshot) {
   EXPECT_EQ(r2.value(), 55u) << "delayed-copy snapshot must hold";
 }
 
-TEST_P(MachineBothSystems, MeasureHelpersReportLatency) {
+TEST_P(MachineAllSystems, MeasureHelpersReportLatency) {
   Machine machine(TestConfig(GetParam(), 4));
   MemObjectId region = machine.CreateSharedRegion(0, 8);
   TaskMemory& a = machine.MapRegion(1, region);
@@ -83,14 +83,6 @@ TEST_P(MachineBothSystems, MeasureHelpersReportLatency) {
   EXPECT_EQ(v, 1u);
   EXPECT_GT(rms, 0.1);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothSystems, MachineBothSystems,
-                         ::testing::Values(DsmKind::kAsvm, DsmKind::kXmm),
-                         [](const ::testing::TestParamInfo<DsmKind>& info) {
-                           return std::string(ToString(info.param));
-                         });
-
-class MachineAllSystems : public ::testing::TestWithParam<DsmKind> {};
 
 // A private region that paged out before its first remote fork: the pages
 // paging space holds must survive the export, in the parent and the child.

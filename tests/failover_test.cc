@@ -12,6 +12,7 @@
 //    machine keeps serving both sides.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -729,6 +730,35 @@ TEST(FailoverTest, HealthyRunWithFailoverOnIsQuietAndBitStable) {
     };
     EXPECT_EQ(digest(), digest())
         << ToString(kind) << ": healthy failover-on timeline not bit-stable";
+  }
+}
+
+// A node removed for good never re-issues its own requests. Every reply to
+// it is black-holed, but its targets are alive, so each pending op resolves
+// kTimeout rather than kNodeDown; re-issuing from the `on_fail` hook would
+// time out and re-issue again forever, and the run would never drain. Node 3
+// has 64 write requests in flight when kill-owner removes it at 200 ms. They
+// go straight through its pager interface, as its kernel's faults would
+// issue them, so no faulting task is left waiting on the dead node.
+TEST(FailoverTest, NodeRemovedForGoodDoesNotReissueItsRequests) {
+  for (DsmKind kind : {DsmKind::kAsvm, DsmKind::kXmm, DsmKind::kIvy}) {
+    MachineConfig config;
+    config.nodes = 4;
+    config.dsm = kind;
+    EXPECT_TRUE(FaultProfileFromName("kill-owner", 1, config.nodes, &config.fault));
+    config.retry.timeout_ns = 2 * kMillisecond;
+    config.failover.enabled = true;
+    Machine machine(config);
+
+    constexpr PageIndex kPages = 64;
+    MemObjectId region = machine.CreateSharedRegion(0, kPages);
+    std::shared_ptr<VmObject> doomed = machine.dsm().Attach(3, region);
+    AdvanceTo(machine, 198 * kMillisecond);
+    for (PageIndex p = 0; p < kPages; ++p) {
+      doomed->pager()->DataRequest(*doomed, p, PageAccess::kWrite);
+    }
+    EXPECT_TRUE(machine.RunFor(10 * kSecond)) << ToString(kind) << ": the run never drained";
+    EXPECT_EQ(machine.stats().Get(kStatReissues), 0) << ToString(kind);
   }
 }
 

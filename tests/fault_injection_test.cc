@@ -374,6 +374,7 @@ TEST(FaultInjectionTest, DuplicateWindowSurvivesAFloodOfInterleavedOps) {
         : ProtocolAgent(dsm, node, TraceProtocol::kAsvm) {}
     using ProtocolAgent::DuplicateDelivery;
     void OnMessage(NodeId, Message) override {}
+    void SendShadow(NodeId, bool, const ShadowUpdate&, PageBuffer) override {}
   };
   TestAgent agent(machine.dsm(), 0);
 

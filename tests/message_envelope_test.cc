@@ -170,13 +170,12 @@ TEST(MessageEnvelopeTest, XmmBodiesRoundTrip) {
     }
   }
   {
-    Message msg = Envelope(XmmMsgType::kCopyFault, XmmCopyFault{kObj, 6, 2, {2, 4}});
-    EXPECT_EQ((Unwrap<XmmCopyFault, XmmBody>(msg).path), (std::vector<NodeId>{2, 4}));
+    Message msg = Envelope(XmmMsgType::kCopyFault, CopyFault{kObj, 6, 2, {2, 4}});
+    EXPECT_EQ((Unwrap<CopyFault, XmmBody>(msg).path), (std::vector<NodeId>{2, 4}));
   }
   {
-    Message msg = Envelope(XmmMsgType::kCopyFaultReply,
-                           XmmCopyFaultReply{kObj, 6, false, true});
-    EXPECT_TRUE((Unwrap<XmmCopyFaultReply, XmmBody>(msg).deadlock));
+    Message msg = Envelope(XmmMsgType::kCopyFaultReply, CopyFaultReply{kObj, 6, false, true});
+    EXPECT_TRUE((Unwrap<CopyFaultReply, XmmBody>(msg).deadlock));
   }
 }
 
@@ -207,7 +206,7 @@ TEST(MessageEnvelopeTest, MsgTypeNameCoversEveryType) {
   EXPECT_STREQ(MsgTypeName(msg), "access_request");
   msg = Envelope(AsvmMsgType::kMarkReadOnlyAck, OfferReply{kObj, 0, true, 1});
   EXPECT_STREQ(MsgTypeName(msg), "mark_read_only_ack");
-  msg = Envelope(XmmMsgType::kCopyFaultReply, XmmCopyFaultReply{});
+  msg = Envelope(XmmMsgType::kCopyFaultReply, CopyFaultReply{});
   EXPECT_STREQ(MsgTypeName(msg), "copy_fault_reply");
 
   EXPECT_STREQ(ProtocolName(ProtocolId::kAsvm), "asvm");

@@ -1,8 +1,15 @@
 // NMK13 XMM baseline: centralized-manager coherency, the dirty-page
-// write-to-paging-space behaviour, delayed copy via internal pagers, and the
-// thread-pool deadlock ASVM's asynchronous design removes.
+// write-to-paging-space behaviour, and delayed copy via the internal copy
+// pager (src/dsm/copy_pager.h) with the thread-pool deadlock ASVM's
+// asynchronous design removes. XMM and IVY share the copy pager, so its
+// tests run on both backends.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/ivy/ivy_agent.h"
+#include "src/ivy/ivy_system.h"
 #include "src/machvm/task_memory.h"
 #include "src/xmm/xmm_agent.h"
 #include "src/xmm/xmm_system.h"
@@ -13,44 +20,11 @@ namespace {
 
 class XmmTest : public ::testing::Test {
  protected:
-  void Build(int nodes, XmmConfig config = {}, size_t frames = 512) {
-    cluster_ = std::make_unique<Cluster>(SmallClusterParams(nodes, frames));
-    system_ = std::make_unique<XmmSystem>(*cluster_, config);
-  }
-
   void BuildRegion(int nodes, VmSize pages = 16) {
-    Build(nodes);
+    cluster_ = std::make_unique<Cluster>(SmallClusterParams(nodes, 512));
+    system_ = std::make_unique<XmmSystem>(*cluster_);
     region_ = system_->CreateSharedRegion(/*home=*/0, pages);
     harness_ = std::make_unique<DsmRegionHarness>(*cluster_, *system_, region_, pages);
-  }
-
-  TaskMemory MakeParent(NodeId node, VmSize pages) {
-    NodeVm& vm = cluster_->vm(node);
-    VmMap* map = vm.CreateMap();
-    auto obj = vm.CreateObject(pages, CopyStrategy::kSymmetric);
-    EXPECT_EQ(map->Map(0, pages, obj, 0, Inheritance::kCopy), Status::kOk);
-    return TaskMemory(vm, *map);
-  }
-
-  TaskMemory Fork(NodeId src, TaskMemory& parent, NodeId dst) {
-    auto f = system_->RemoteFork(src, parent.map(), dst);
-    cluster_->Run();
-    EXPECT_TRUE(f.ready());
-    return TaskMemory(cluster_->vm(dst), *f.value());
-  }
-
-  uint64_t Read(TaskMemory& mem, VmOffset addr) {
-    auto f = mem.ReadU64(addr);
-    cluster_->Run();
-    EXPECT_TRUE(f.ready());
-    return f.ready() ? f.value() : ~0ULL;
-  }
-
-  void Write(TaskMemory& mem, VmOffset addr, uint64_t value) {
-    auto f = mem.WriteU64(addr, value);
-    cluster_->Run();
-    ASSERT_TRUE(f.ready());
-    ASSERT_EQ(f.value(), Status::kOk);
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -125,102 +99,162 @@ TEST_F(XmmTest, ManagerStateTableIsPagesTimesNodes) {
   EXPECT_LT(system_->MetadataBytes(3), 512u);
 }
 
-TEST_F(XmmTest, RemoteForkChildSeesSnapshot) {
-  Build(2);
-  TaskMemory parent = MakeParent(0, 8);
-  Write(parent, 0, 100);
-  Write(parent, 4096, 200);
-  TaskMemory child = Fork(0, parent, 1);
-  EXPECT_EQ(Read(child, 0), 100u);
-  EXPECT_EQ(Read(child, 4096), 200u);
-  EXPECT_EQ(Read(child, 2 * 4096), 0u);
+// A backend that forks through the internal copy pager.
+template <typename SystemT, typename ConfigT>
+struct CopyPagerBackend {
+  using System = SystemT;
+  using Config = ConfigT;
+};
+
+template <typename Backend>
+class CopyPagerTest : public ::testing::Test {
+ protected:
+  using Config = typename Backend::Config;
+
+  void Build(int nodes, Config config = {}, size_t frames = 512) {
+    cluster_ = std::make_unique<Cluster>(SmallClusterParams(nodes, frames));
+    system_ = std::make_unique<typename Backend::System>(*cluster_, config);
+  }
+
+  TaskMemory MakeParent(NodeId node, VmSize pages) {
+    NodeVm& vm = cluster_->vm(node);
+    VmMap* map = vm.CreateMap();
+    auto obj = vm.CreateObject(pages, CopyStrategy::kSymmetric);
+    EXPECT_EQ(map->Map(0, pages, obj, 0, Inheritance::kCopy), Status::kOk);
+    return TaskMemory(vm, *map);
+  }
+
+  TaskMemory Fork(NodeId src, TaskMemory& parent, NodeId dst) {
+    auto f = system_->RemoteFork(src, parent.map(), dst);
+    cluster_->Run();
+    EXPECT_TRUE(f.ready());
+    return TaskMemory(cluster_->vm(dst), *f.value());
+  }
+
+  uint64_t Read(TaskMemory& mem, VmOffset addr) {
+    auto f = mem.ReadU64(addr);
+    cluster_->Run();
+    EXPECT_TRUE(f.ready());
+    return f.ready() ? f.value() : ~0ULL;
+  }
+
+  void Write(TaskMemory& mem, VmOffset addr, uint64_t value) {
+    auto f = mem.WriteU64(addr, value);
+    cluster_->Run();
+    ASSERT_TRUE(f.ready());
+    ASSERT_EQ(f.value(), Status::kOk);
+  }
+
+  // The backend's own counter, e.g. xmm.copy_faults or ivy.copy_faults.
+  int64_t Counter(const char* suffix) {
+    return cluster_->stats().Get(std::string(system_->name()) + suffix);
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<typename Backend::System> system_;
+};
+
+using CopyPagerBackends = ::testing::Types<CopyPagerBackend<XmmSystem, XmmConfig>,
+                                           CopyPagerBackend<IvySystem, IvyConfig>>;
+TYPED_TEST_SUITE(CopyPagerTest, CopyPagerBackends);
+
+TYPED_TEST(CopyPagerTest, RemoteForkChildSeesSnapshot) {
+  this->Build(2);
+  TaskMemory parent = this->MakeParent(0, 8);
+  this->Write(parent, 0, 100);
+  this->Write(parent, 4096, 200);
+  TaskMemory child = this->Fork(0, parent, 1);
+  EXPECT_EQ(this->Read(child, 0), 100u);
+  EXPECT_EQ(this->Read(child, 4096), 200u);
+  EXPECT_EQ(this->Read(child, 2 * 4096), 0u);
 }
 
-TEST_F(XmmTest, ForkSnapshotSurvivesParentWrites) {
-  Build(2);
-  TaskMemory parent = MakeParent(0, 8);
-  Write(parent, 0, 100);
-  TaskMemory child = Fork(0, parent, 1);
-  Write(parent, 0, 999);  // local symmetric COW on the source node
-  EXPECT_EQ(Read(child, 0), 100u);
-  EXPECT_EQ(Read(parent, 0), 999u);
+TYPED_TEST(CopyPagerTest, ForkSnapshotSurvivesParentWrites) {
+  this->Build(2);
+  TaskMemory parent = this->MakeParent(0, 8);
+  this->Write(parent, 0, 100);
+  TaskMemory child = this->Fork(0, parent, 1);
+  this->Write(parent, 0, 999);  // local symmetric COW on the source node
+  EXPECT_EQ(this->Read(child, 0), 100u);
+  EXPECT_EQ(this->Read(parent, 0), 999u);
 }
 
-TEST_F(XmmTest, ChildWritesStayPrivate) {
-  Build(2);
-  TaskMemory parent = MakeParent(0, 8);
-  Write(parent, 0, 1);
-  TaskMemory child = Fork(0, parent, 1);
-  Write(child, 0, 2);
-  EXPECT_EQ(Read(parent, 0), 1u);
-  EXPECT_EQ(Read(child, 0), 2u);
+TYPED_TEST(CopyPagerTest, ChildWritesStayPrivate) {
+  this->Build(2);
+  TaskMemory parent = this->MakeParent(0, 8);
+  this->Write(parent, 0, 1);
+  TaskMemory child = this->Fork(0, parent, 1);
+  this->Write(child, 0, 2);
+  EXPECT_EQ(this->Read(parent, 0), 1u);
+  EXPECT_EQ(this->Read(child, 0), 2u);
 }
 
-TEST_F(XmmTest, ForkChainTraversesPerNodePagers) {
-  Build(3);
-  TaskMemory gen0 = MakeParent(0, 4);
-  Write(gen0, 0, 11);
-  TaskMemory gen1 = Fork(0, gen0, 1);
-  TaskMemory gen2 = Fork(1, gen1, 2);
-  EXPECT_EQ(Read(gen2, 0), 11u);
-  EXPECT_GE(cluster_->stats().Get("xmm.copy_faults"), 2)
+TYPED_TEST(CopyPagerTest, ForkChainTraversesPerNodePagers) {
+  this->Build(3);
+  TaskMemory gen0 = this->MakeParent(0, 4);
+  this->Write(gen0, 0, 11);
+  TaskMemory gen1 = this->Fork(0, gen0, 1);
+  TaskMemory gen2 = this->Fork(1, gen1, 2);
+  EXPECT_EQ(this->Read(gen2, 0), 11u);
+  EXPECT_GE(this->Counter(".copy_faults"), 2)
       << "each chain stage runs an internal pager fault";
 }
 
-TEST_F(XmmTest, ChainLatencyGrowsSteeply) {
-  Build(6);
-  TaskMemory gen0 = MakeParent(0, 4);
-  Write(gen0, 0, 42);
+TYPED_TEST(CopyPagerTest, ChainLatencyGrowsSteeply) {
+  this->Build(6);
+  TaskMemory gen0 = this->MakeParent(0, 4);
+  this->Write(gen0, 0, 42);
   std::vector<TaskMemory> gens;
   gens.push_back(gen0);
   for (NodeId n = 1; n < 6; ++n) {
-    gens.push_back(Fork(n - 1, gens.back(), n));
+    gens.push_back(this->Fork(n - 1, gens.back(), n));
   }
-  SimTime start = cluster_->engine().Now();
-  EXPECT_EQ(Read(gens.back(), 0), 42u);
-  SimDuration latency = cluster_->engine().Now() - start;
+  SimTime start = this->cluster_->engine().Now();
+  EXPECT_EQ(this->Read(gens.back(), 0), 42u);
+  SimDuration latency = this->cluster_->engine().Now() - start;
   // Five chained NORMA round trips through blocking pagers: >> 10 ms.
   EXPECT_GT(latency, 10 * kMillisecond);
 }
 
-TEST_F(XmmTest, ChildDirtyPagesSurviveEviction) {
-  XmmConfig config;
-  Build(2, config, /*frames=*/12);
-  TaskMemory parent = MakeParent(0, 32);
-  Write(parent, 0, 1);
-  TaskMemory child = Fork(0, parent, 1);
+TYPED_TEST(CopyPagerTest, ChildDirtyPagesSurviveEviction) {
+  typename TestFixture::Config config;
+  this->Build(2, config, /*frames=*/12);
+  TaskMemory parent = this->MakeParent(0, 32);
+  this->Write(parent, 0, 1);
+  TaskMemory child = this->Fork(0, parent, 1);
   for (VmSize p = 0; p < 32; ++p) {
-    Write(child, p * 4096, 5000 + p);
+    this->Write(child, p * 4096, 5000 + p);
   }
   for (VmSize p = 0; p < 32; ++p) {
-    EXPECT_EQ(Read(child, p * 4096), 5000 + p) << "page " << p;
+    EXPECT_EQ(this->Read(child, p * 4096), 5000 + p) << "page " << p;
   }
 }
 
-TEST_F(XmmTest, CopyChainDeadlocksWithExhaustedThreadPool) {
+TYPED_TEST(CopyPagerTest, CopyChainDeadlocksWithExhaustedThreadPool) {
   // The §3.1 scenario: a copy chain that crosses the same node twice, with a
   // single pager thread per node. ASVM's asynchronous transitions make this
-  // impossible; NMK13 XMM deadlocks (we detect and fail the fault).
-  XmmConfig config;
+  // impossible; the blocking internal pager deadlocks (we detect and fail the
+  // fault).
+  typename TestFixture::Config config;
   config.copy_pager_threads = 1;
-  Build(2, config);
-  TaskMemory gen0 = MakeParent(0, 4);
-  Write(gen0, 0, 1);
-  TaskMemory gen1 = Fork(0, gen0, 1);   // pager on 0
-  TaskMemory gen2 = Fork(1, gen1, 0);   // pager on 1, chain crosses 0 again
-  TaskMemory gen3 = Fork(0, gen2, 1);   // pager on 0, chain 1 -> 0 -> 1 -> 0
+  this->Build(2, config);
+  TaskMemory gen0 = this->MakeParent(0, 4);
+  this->Write(gen0, 0, 1);
+  TaskMemory gen1 = this->Fork(0, gen0, 1);   // pager on 0
+  TaskMemory gen2 = this->Fork(1, gen1, 0);   // pager on 1, chain crosses 0 again
+  TaskMemory gen3 = this->Fork(0, gen2, 1);   // pager on 0, chain 1 -> 0 -> 1 -> 0
 
   // Two concurrent deep faults from both ends exhaust the single-thread
   // pools; at least one must be refused as a deadlock.
   auto f1 = gen3.Touch(0, 8, PageAccess::kRead);
   auto f2 = gen2.Touch(8, 8, PageAccess::kRead);
-  cluster_->Run();
+  this->cluster_->Run();
   ASSERT_TRUE(f1.ready());
   ASSERT_TRUE(f2.ready());
   const bool any_deadlock =
       f1.value() == Status::kDeadlock || f2.value() == Status::kDeadlock;
   EXPECT_TRUE(any_deadlock) << "chain crossing a node twice with 1 thread must deadlock";
-  EXPECT_GT(cluster_->stats().Get("xmm.copy_deadlocks"), 0);
+  EXPECT_GT(this->Counter(".copy_deadlocks"), 0);
 }
 
 }  // namespace
