@@ -60,7 +60,8 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
 struct StormResult {
   uint64_t digest = 14695981039346656037ULL;
   double drain_seconds = 0;  // host wall clock of the single Run()
-  int64_t windows = 0;       // barrier windows the drain took (0 when shards=1)
+  int64_t windows = 0;       // barrier windows the drain took (none when shards=1:
+                             // a single shard runs every window inline)
   int64_t replayed = 0;      // mailbox records replayed at barriers
   // IVY only: the longest probable-owner chain any request walked, and how
   // many requests hit the hop ceiling and were dropped. The report gates both

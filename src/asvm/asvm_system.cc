@@ -19,6 +19,7 @@ AsvmSystem::AsvmSystem(Cluster& cluster, AsvmConfig config)
   for (NodeId n = 0; n < cluster.node_count(); ++n) {
     agents_.push_back(std::make_unique<AsvmAgent>(*this, n));
   }
+  AddAgentStallProbe();
 }
 
 AsvmSystem::~AsvmSystem() = default;
@@ -168,9 +169,6 @@ MemObjectId AsvmSystem::RegisterCopy(const MemObjectId& source, NodeId peer, VmS
 }
 
 Future<VmMap*> AsvmSystem::RemoteFork(NodeId src, VmMap& parent, NodeId dst) {
-  // Forks mutate the directory mid-run; arm the mutation API before the first
-  // drain so the cluster runs on the windowed, mutation-aware schedule.
-  cluster_.mutator().Arm();
   Promise<VmMap*> done(cluster_.engine_for(src));
   (void)RemoteForkTask(src, parent, dst, done);
   return done.GetFuture();

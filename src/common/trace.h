@@ -133,12 +133,12 @@ class ProtocolMonitor {
 // is one branch.
 //
 // Thread safety: sharded runs emit from several shard threads; the mutex
-// serializes monitor delivery and the per-node sequence stamping. Unarmed
-// emission stays lock-free.
+// serializes monitor delivery and the per-node sequence stamping. Emission
+// with no monitor attached stays lock-free.
 struct TraceSink {
   ProtocolMonitor* monitor = nullptr;
 
-  bool armed() const { return monitor != nullptr; }
+  bool enabled() const { return monitor != nullptr; }
   void Emit(TraceEvent event) {
     if (monitor != nullptr) {
       std::lock_guard<std::mutex> lock(mu_);

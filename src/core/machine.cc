@@ -52,10 +52,6 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
       break;
   }
   if (config.failover.enabled) {
-    // Promotions and cold restarts apply as (send_time, origin, seq)-ordered
-    // cluster mutations; arming the mutator up front keeps the apply schedule
-    // identical at every shard count.
-    cluster_->mutator().Arm();
     if (FaultPlan* plan = cluster_->fault_plan(); plan != nullptr) {
       for (const NodeRemoval& r : plan->params().removals) {
         if (r.restore_at == 0) {

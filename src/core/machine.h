@@ -84,8 +84,7 @@ struct MachineConfig {
   RetryPolicy retry;
   // Primary-backup manager replication with online failover (DESIGN.md §14).
   // Requires an armed retry policy to detect silence; promotions and cold
-  // restarts run as cluster mutations, so enabling this arms the windowed
-  // mutation-aware drain.
+  // restarts run as cluster mutations.
   FailoverConfig failover;
   // Install the sim-engine stall watchdog (implied whenever `fault` is
   // non-empty): when the event queue drains while work is still blocked, the

@@ -29,34 +29,25 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   params_.shards = std::min(params_.shards, blocks);
   outboxes_.resize(static_cast<size_t>(params_.shards));
   record_seq_.assign(static_cast<size_t>(params_.node_count), 0);
-  if (params_.shards > 1) {
-    sharded_ = std::make_unique<ShardedEngine>(params_.shards, params_.node_count,
-                                               params_.nodes_per_io_group, params_.scheduler);
-    router_.sharded = sharded_.get();
-    for (int s = 0; s < params_.shards; ++s) {
-      // Shard queues drain many times per window while work legitimately
-      // waits on mailboxed cross-shard messages; the real stall check runs
-      // once at the end of Cluster::Run.
-      sharded_->shard(s).set_defer_stall_checks(true);
-    }
-  } else {
-    engine_ = std::make_unique<Engine>(params_.scheduler);
+  engines_ = std::make_unique<ShardedEngine>(params_.shards, params_.node_count,
+                                             params_.nodes_per_io_group, params_.scheduler);
+  for (int s = 0; s < params_.shards; ++s) {
+    // Shard queues drain many times per window while work legitimately waits
+    // on outboxed messages or pending mutations; the real stall check runs
+    // once, at the final drain of Cluster::Run/RunFor.
+    engines_->shard(s).set_defer_stall_checks(true);
   }
   Engine& root = engine();
-  router_.root = &root;
 
-  network_ = std::make_unique<Network>(root, Topology::ForNodeCount(params_.node_count),
-                                       params_.mesh, &stats_);
-  sts_ = std::make_unique<StsTransport>(root, *network_, &stats_);
-  sts_ctl_ = std::make_unique<StsCtlTransport>(root, *network_, &stats_);
-  norma_ = std::make_unique<NormaIpc>(root, *network_, &stats_);
+  network_ = std::make_unique<Network>(Topology::ForNodeCount(params_.node_count), params_.mesh,
+                                       &stats_);
+  sts_ = std::make_unique<StsTransport>(*engines_, outboxes_, &stats_);
+  sts_ctl_ = std::make_unique<StsCtlTransport>(*engines_, outboxes_, &stats_);
+  norma_ = std::make_unique<NormaIpc>(*engines_, outboxes_, &stats_);
   network_->set_trace(&trace_sink_);
   sts_->set_trace(&trace_sink_);
   sts_ctl_->set_trace(&trace_sink_);
   norma_->set_trace(&trace_sink_);
-  if (sharded_ != nullptr) {
-    EnableOutboxRouting();
-  }
   if (!params_.fault.Empty()) {
     fault_plan_ = std::make_unique<FaultPlan>(root, params_.fault, params_.node_count,
                                               &stats_);
@@ -94,14 +85,7 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   // Cluster mutations ride the same conservative bound as cross-shard
   // messages: enqueued at t, applied at t + lookahead, when every engine is
   // provably quiescent at the apply time.
-  mutator_ = std::make_unique<ClusterMutator>(&router_, params_.shards,
-                                              params_.node_count, lookahead_, &stats_);
-  if (params_.failover.enabled) {
-    // Failover promotions and cold restarts apply as cluster mutations; arm
-    // the windowed drain up front so the apply schedule is fixed before the
-    // first Run(), whichever layer (Machine or a raw Cluster test) drives it.
-    mutator_->Arm();
-  }
+  mutator_ = std::make_unique<ClusterMutator>(*engines_, lookahead_, &stats_);
 
   const int groups = (params_.node_count + params_.nodes_per_io_group - 1) /
                      params_.nodes_per_io_group;
@@ -134,8 +118,8 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   // Stall-watchdog probe: page faults whose coroutine is still alive when the
   // event queue drains are blocked forever (nothing outside the queue can
   // resume them). Inert unless a stall handler is installed on the engine.
-  // Registered on the root engine; in sharded runs it only fires from
-  // ForceStallCheck at the final global drain, when every shard is quiescent.
+  // Registered on the root engine; it only fires from ForceStallCheck at the
+  // final global drain, when every shard is quiescent.
   root.AddStallProbe([this](std::string& report) {
     bool blocked = false;
     for (const auto& node : nodes_) {
@@ -162,16 +146,6 @@ void Cluster::EnablePerTypeMessageStats() {
   norma_->set_per_type_stats(true);
 }
 
-void Cluster::EnableOutboxRouting() {
-  if (outbox_routing_) {
-    return;
-  }
-  outbox_routing_ = true;
-  sts_->set_sharding(&router_, &outboxes_);
-  sts_ctl_->set_sharding(&router_, &outboxes_);
-  norma_->set_sharding(&router_, &outboxes_);
-}
-
 bool Cluster::Empty() const {
   if (!mutator_->Idle() || !pending_.empty()) {
     return false;
@@ -181,34 +155,25 @@ bool Cluster::Empty() const {
       return false;
     }
   }
-  return sharded_ == nullptr ? engine_->empty() : sharded_->AllEmpty();
+  return engines_->AllEmpty();
 }
 
-void Cluster::CollectOutboxes() {
-  for (int s = 0; s < params_.shards; ++s) {
-    for (MeshRecord& r : outboxes_[s]) {
-      PendingRecord pr;
-      pr.send_time = r.send_time;
-      // One shard thread emits a node's records in that node's causal order,
-      // so a per-node counter assigned in drain order reproduces it.
-      pr.seq = ++record_seq_[r.src];
-      pr.record = std::move(r);
-      pending_.push(std::move(pr));
-    }
-    outboxes_[s].clear();
+void Cluster::CollectOutbox(std::vector<MeshRecord>& outbox) {
+  for (MeshRecord& r : outbox) {
+    PendingRecord pr;
+    pr.send_time = r.send_time;
+    // One shard thread emits a node's records in that node's causal order,
+    // so a per-node counter assigned in drain order reproduces it.
+    pr.seq = ++record_seq_[r.src];
+    pr.record = std::move(r);
+    pending_.push(std::move(pr));
   }
-}
-
-SimTime Cluster::MinNextTime() const {
-  if (sharded_ != nullptr) {
-    return sharded_->MinNextTime();
-  }
-  return engine_->empty() ? ShardedEngine::kNoEvent : engine_->NextEventTime();
+  outbox.clear();
 }
 
 void Cluster::SyncClocks(SimTime time) {
   for (int s = 0; s < params_.shards; ++s) {
-    sharded_->shard(s).AdvanceTo(time);
+    engines_->shard(s).AdvanceTo(time);
   }
 }
 
@@ -217,10 +182,10 @@ SimTime Cluster::ProcessPending() {
   // horizon N0 + min_send_sw_: any event still pending on any shard fires at
   // or after N0, so any record it might yet emit stamps send_time >= that
   // horizon — nothing can slot in front of the records replayed here, and the
-  // fabric's endpoint busy channels update in exactly the single-engine
-  // order. Injected deliveries can become the new earliest event, so the
-  // horizon is re-tightened as records land.
-  SimTime n0 = MinNextTime();
+  // fabric's endpoint busy channels update in exactly the canonical
+  // (send_time, src, seq) order. Injected deliveries can become the new
+  // earliest event, so the horizon is re-tightened as records land.
+  SimTime n0 = engines_->MinNextTime();
   while (!pending_.empty()) {
     if (n0 != ShardedEngine::kNoEvent &&
         pending_.top().send_time >= SatAdd(n0, min_send_sw_)) {
@@ -253,13 +218,13 @@ bool Cluster::DrainSharded(SimTime until) {
       // last-event time, so work the driver issues next starts from the same
       // instant on every node (otherwise a lagging shard could send a message
       // whose arrival lands in a faster shard's past).
-      SyncClocks(sharded_->MaxNow());
-      sharded_->shard(0).ForceStallCheck();
+      SyncClocks(engines_->MaxNow());
+      engines_->shard(0).ForceStallCheck();
       return true;
     }
     if (std::min(n0, m) > until) {
-      // Deadline exit: the single engine would sit exactly at the deadline
-      // (RunUntil with events left), so park every shard clock there too.
+      // Deadline exit: park every shard clock exactly at the deadline, where
+      // Engine::RunUntil leaves a clock that still has events pending.
       SyncClocks(until);
       return false;
     }
@@ -267,8 +232,7 @@ bool Cluster::DrainSharded(SimTime until) {
       // Mutation sequencing point: every engine is quiescent strictly before
       // m (windows are capped at m - 1 below) and no un-replayed record can
       // deliver before n0 + min_send_sw > m, so advancing all clocks to m is
-      // safe. Mutations at m apply before any engine event at m — the same
-      // precedence DrainSingle reproduces at shards == 1.
+      // safe. Mutations at m apply before any engine event at m.
       SyncClocks(m);
       mutator_->ApplyAt(m);
       continue;
@@ -278,95 +242,29 @@ bool Cluster::DrainSharded(SimTime until) {
     // and everything already sent has been replayed — so the window up to and
     // including n0 + lookahead - 1 is causally closed. Pending mutations cap
     // the window at m - 1 so they apply on time.
-    windows_.Add(stats_, "sim.sharded.windows");
-    in_window_ = true;
-    sharded_->RunWindow(std::min({until, SatAdd(n0, lookahead_) - 1, m - 1}));
-    in_window_ = false;
-  }
-}
-
-bool Cluster::DrainSingle(SimTime until) {
-  // The armed single-engine drain: the same loop as DrainSharded on one
-  // engine. Cross-node sends ride the outbox/replay path here too, so
-  // equal-send-time fabric admissions happen in the canonical
-  // (send_time, src, seq) order rather than the engine's incidental
-  // intra-timestamp interleave — the property that makes a sharded run's
-  // timeline reproducible byte for byte at shards == 1.
-  for (;;) {
-    CollectOutboxes();
-    mutator_->Collect();
-    const SimTime n0 = ProcessPending();
-    const SimTime m = mutator_->NextApplyTime();
-    if (n0 == ShardedEngine::kNoEvent && m == ClusterMutator::kNever) {
-      ASVM_CHECK_MSG(pending_.empty(), "drained with records still pending");
-      engine_->ForceStallCheck();
-      return true;
-    }
-    if (std::min(n0, m) > until) {
-      engine_->AdvanceTo(until);  // RunUntil parks at the deadline; match it
-      return false;
-    }
-    if (m <= n0) {
-      engine_->AdvanceTo(m);
-      mutator_->ApplyAt(m);
-      continue;
+    if (params_.shards > 1) {
+      // Counts barrier hand-offs; a single shard runs its windows inline.
+      windows_.Add(stats_, "sim.sharded.windows");
     }
     in_window_ = true;
-    engine_->RunUntil(std::min({until, SatAdd(n0, lookahead_) - 1, m - 1}));
+    engines_->RunWindow(std::min({until, SatAdd(n0, lookahead_) - 1, m - 1}));
     in_window_ = false;
   }
 }
 
 uint64_t Cluster::Run() {
-  if (sharded_ == nullptr) {
-    if (!mutator_->armed()) {
-      // Exact legacy drain (bit-identical timelines, no slicing overhead) for
-      // workloads that never touch the mutation API.
-      const uint64_t n = engine_->Run();
-      mutator_->Collect();
-      ASVM_CHECK_MSG(mutator_->Idle(),
-                     "cluster mutation enqueued mid-run before the mutator was armed; "
-                     "arm it from driver context (ClusterWaitGroup/ClusterBarrier/"
-                     "RemoteFork do) before Run()");
-      return n;
-    }
-    // Slices drain the queue many times while work legitimately waits on a
-    // pending mutation or mailboxed record; the real stall check runs once at
-    // the final drain.
-    engine_->set_defer_stall_checks(true);
-    EnableOutboxRouting();
-    const uint64_t start = engine_->executed_events();
-    DrainSingle(std::numeric_limits<SimTime>::max());
-    return engine_->executed_events() - start;
-  }
-  const uint64_t start = sharded_->TotalExecuted();
+  const uint64_t start = engines_->TotalExecuted();
   DrainSharded(std::numeric_limits<SimTime>::max());
-  return sharded_->TotalExecuted() - start;
+  return engines_->TotalExecuted() - start;
 }
 
 bool Cluster::RunFor(SimDuration d) {
   ASVM_CHECK_MSG(d >= 0, "negative RunFor duration");
-  if (sharded_ == nullptr) {
-    if (!mutator_->armed()) {
-      const bool drained = engine_->RunFor(d);
-      mutator_->Collect();
-      ASVM_CHECK_MSG(mutator_->Idle(),
-                     "cluster mutation enqueued mid-run before the mutator was armed");
-      return drained;
-    }
-    engine_->set_defer_stall_checks(true);
-    EnableOutboxRouting();
-    return DrainSingle(SatAdd(engine_->Now(), d));
-  }
-  return DrainSharded(SatAdd(sharded_->MaxNow(), d));
+  return DrainSharded(SatAdd(engines_->MaxNow(), d));
 }
 
 void Cluster::set_event_limit(uint64_t per_engine_limit) {
-  if (sharded_ != nullptr) {
-    sharded_->set_event_limit(per_engine_limit);
-  } else {
-    engine_->set_event_limit(per_engine_limit);
-  }
+  engines_->set_event_limit(per_engine_limit);
 }
 
 }  // namespace asvm

@@ -1,6 +1,6 @@
-// The simulated multicomputer: engine, mesh, transports, and one kernel VM
-// (plus paging machinery) per node — everything below the DSM layer. XMM and
-// ASVM are constructed on top of a Cluster.
+// The simulated multicomputer: engines, mesh, transports, and one kernel VM
+// (plus paging machinery) per node — everything below the DSM layer. ASVM,
+// XMM and IVY are constructed on top of a Cluster.
 #ifndef SRC_DSM_CLUSTER_H_
 #define SRC_DSM_CLUSTER_H_
 
@@ -20,7 +20,6 @@
 #include "src/mesh/fault_plan.h"
 #include "src/mesh/network.h"
 #include "src/sim/engine.h"
-#include "src/sim/shard_router.h"
 #include "src/sim/sharded_engine.h"
 #include "src/transport/transport.h"
 
@@ -72,7 +71,8 @@ struct ClusterParams {
   FailoverConfig failover;  // primary-backup manager replication (off = legacy)
   // Parallel simulation: partition the node space into this many shards, each
   // with its own engine, synchronized by conservative-lookahead windows
-  // (DESIGN.md §13). shards == 1 keeps the exact single-engine code path.
+  // (DESIGN.md §13). Every shard count runs the same drain loop and the same
+  // fabric path; shards == 1 just runs each window inline on one engine.
   // Shards divide along nodes_per_io_group boundaries; a request above
   // ceil(node_count / nodes_per_io_group) is clamped to that block count
   // (the timeline is byte-identical at every shard count, so clamping is a
@@ -92,29 +92,27 @@ class Cluster {
   int node_count() const { return params_.node_count; }
   size_t page_size() const { return params_.vm.page_size; }
 
-  // The root engine: the single engine at shards == 1, shard 0 otherwise.
-  // Workload driver code (promise completion, measurement probes) runs here.
-  Engine& engine() { return sharded_ != nullptr ? sharded_->shard(0) : *engine_; }
-  // The engine that simulates `node` (the root engine at shards == 1).
-  Engine& engine_for(NodeId node) { return router_.engine_for(node); }
+  // The root engine: shard 0's engine. Workload driver code (promise
+  // completion, measurement probes) runs here. Drain the machine with Run /
+  // RunFor, never through this engine directly: cross-node messages wait in
+  // the outboxes until the cluster's drain loop replays them.
+  Engine& engine() { return engines_->shard(0); }
+  // The engine that simulates `node`.
+  Engine& engine_for(NodeId node) { return engines_->engine_for_node(node); }
   int shards() const { return params_.shards; }
-  ShardedEngine* sharded_engine() { return sharded_.get(); }  // null at shards == 1
 
-  // Machine-visible simulated time: the root engine's clock, or the furthest
-  // shard clock in a sharded run (between windows every cross-shard effect
-  // with a timestamp at or before any shard clock has been applied).
-  SimTime Now() const {
-    return sharded_ != nullptr ? sharded_->MaxNow() : engine_->Now();
-  }
+  // Machine-visible simulated time: the furthest shard clock (between
+  // windows every cross-shard effect with a timestamp at or before any shard
+  // clock has been applied).
+  SimTime Now() const { return engines_->MaxNow(); }
 
-  // No runnable event on any engine and no cross-shard message still in a
-  // mailbox. Valid between runs / windows.
+  // No runnable event on any engine, no message waiting in an outbox or the
+  // replay heap, and no pending mutation. Valid between runs / windows.
   bool Empty() const;
 
-  // Drains the machine: every engine empty and every cross-shard mailbox
-  // replayed. Returns the number of events executed. At shards == 1 this is
-  // exactly Engine::Run(); otherwise the conservative-lookahead barrier loop
-  // (DESIGN.md §13).
+  // Drains the machine: every engine empty and every outbox replayed. Returns
+  // the number of events executed. Both Run and RunFor are the one
+  // conservative-lookahead barrier loop (DrainSharded, DESIGN.md §13).
   uint64_t Run();
 
   // Runs until the machine drains or simulated time would pass Now() + d.
@@ -125,9 +123,8 @@ class Cluster {
   void set_event_limit(uint64_t per_engine_limit);
 
   // Deterministically ordered cluster mutations (fork directory writes,
-  // cross-node driver signals) — see src/dsm/cluster_mutator.h. Arming it
-  // switches Run/RunFor onto the windowed mutation-aware drain at every
-  // shard count; unarmed runs keep the exact legacy drain (and timelines).
+  // cross-node driver signals) — see src/dsm/cluster_mutator.h. Applied at
+  // the drain loop's sequencing points, at every shard count.
   ClusterMutator& mutator() { return *mutator_; }
 
   // DSM directory state may only be mutated while every engine is quiescent:
@@ -178,8 +175,8 @@ class Cluster {
   // global send-time order, ties broken by (source node, per-source emission
   // seq). A node's emissions happen in its own causal order at every shard
   // count, so this key is shard-count-invariant — unlike per-shard emission
-  // order, which depends on how nodes group into shards. The armed
-  // single-engine drain routes through the same heap, so equal-send-time
+  // order, which depends on how nodes group into shards. Every cross-node
+  // message at every shard count goes through this heap, so equal-send-time
   // fabric admissions happen in one canonical order everywhere.
   struct PendingRecord {
     SimTime send_time;
@@ -194,42 +191,37 @@ class Cluster {
     }
   };
 
-  // Moves freshly-emitted outbox records into the pending heap.
-  void CollectOutboxes();
-  // Earliest pending event time across all engines (kNoEvent when drained).
-  SimTime MinNextTime() const;
-  // Switches the transports onto the outbox/replay path (sticky). Always on
-  // in sharded runs; at shards == 1 it engages at the first armed drain so
-  // equal-send-time admissions follow the same canonical order as sharded
-  // replay (unarmed runs keep the direct legacy send path and its timelines).
-  void EnableOutboxRouting();
+  // Moves freshly-emitted outbox records into the pending heap. Inline, with
+  // empty outboxes skipped: the drain loop runs it on every iteration, mostly
+  // with nothing to collect.
+  void CollectOutboxes() {
+    for (auto& outbox : outboxes_) {
+      if (!outbox.empty()) {
+        CollectOutbox(outbox);
+      }
+    }
+  }
+  void CollectOutbox(std::vector<MeshRecord>& outbox);
   // Re-synchronizes every shard clock to `time` (see DrainSharded).
   void SyncClocks(SimTime time);
   // Replays every pending record safely below the conservative horizon.
   // Returns the earliest pending event time across all shards afterwards.
   SimTime ProcessPending();
-  // The barrier loop (shards > 1). Runs windows until every engine is empty
-  // and no record or mutation is pending, or simulated time would pass
-  // `until`. Returns true if the machine drained.
+  // The barrier loop behind Run and RunFor, at every shard count. Runs
+  // windows until every engine is empty and no record or mutation is
+  // pending, or simulated time would pass `until`. Returns true if the
+  // machine drained.
   bool DrainSharded(SimTime until);
-  // The shards == 1 equivalent once the mutator is armed: the single engine
-  // runs in lookahead-bounded slices so a mutation enqueued mid-slice is
-  // always collected before its apply time arrives, reproducing the sharded
-  // apply schedule exactly.
-  bool DrainSingle(SimTime until);
   // Minimum cross-shard latency: no event at time t can cause an event on
   // another shard before t + lookahead.
   SimDuration Lookahead() const { return lookahead_; }
 
   ClusterParams params_;
-  std::unique_ptr<Engine> engine_;          // shards == 1
-  std::unique_ptr<ShardedEngine> sharded_;  // shards > 1
-  ShardRouter router_;
+  std::unique_ptr<ShardedEngine> engines_;
   // One outbox per shard; only shard i's thread appends to outboxes_[i], and
   // the coordinator drains them between windows.
-  std::vector<std::vector<MeshRecord>> outboxes_;
+  MeshOutboxes outboxes_;
   std::vector<uint64_t> record_seq_;  // per-source-node emission counter
-  bool outbox_routing_ = false;
   std::priority_queue<PendingRecord, std::vector<PendingRecord>, PendingLater> pending_;
   // Conservative bounds, fixed at construction: the cheapest software send
   // cost any message can pay (fault slowdown factors below 1 included) and
@@ -237,9 +229,9 @@ class Cluster {
   SimDuration min_send_sw_ = 0;
   SimDuration lookahead_ = 0;
   std::unique_ptr<ClusterMutator> mutator_;
-  // True while shard engines are executing a window (or the single engine an
-  // armed slice); written by the coordinator only, before and after the
-  // window barrier, so AssertDriverQuiescent reads it race-free.
+  // True while shard engines are executing a window; written by the
+  // coordinator only, before and after the window barrier, so
+  // AssertDriverQuiescent reads it race-free.
   bool in_window_ = false;
   StatsRegistry stats_;
   CounterHandle records_replayed_;

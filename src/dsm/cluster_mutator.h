@@ -13,15 +13,15 @@
 // stamped with that engine's current time and applied exactly one lookahead
 // later, at an inter-window sequencing point where every engine is quiescent
 // and all clocks equal the apply time. Ties are resolved by
-// (origin node, per-origin seq) — node order refines the mailbox's shard
-// order because the node→shard map is monotone, and unlike a per-shard
-// counter it is independent of the shard count, so the replay order at equal
-// timestamps is byte-identical at --shards=1 and --shards=N. Shard count
-// stays a pure performance knob.
+// (origin node, per-origin seq) — the mailbox's own key, and unlike a
+// per-shard counter independent of the shard count — so the apply order at
+// equal timestamps is byte-identical at --shards=1 and --shards=N. Every
+// Cluster drains through the same windowed loop at every shard count, so a
+// mutation may be enqueued at any time; shard count stays a pure performance
+// knob.
 #ifndef SRC_DSM_CLUSTER_MUTATOR_H_
 #define SRC_DSM_CLUSTER_MUTATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -30,7 +30,7 @@
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/sim/event_fn.h"
-#include "src/sim/shard_router.h"
+#include "src/sim/sharded_engine.h"
 
 namespace asvm {
 
@@ -38,8 +38,7 @@ class ClusterMutator {
  public:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
-  ClusterMutator(ShardRouter* router, int shard_count, int node_count,
-                 SimDuration latency, StatsRegistry* stats);
+  ClusterMutator(ShardedEngine& engines, SimDuration latency, StatsRegistry* stats);
 
   ClusterMutator(const ClusterMutator&) = delete;
   ClusterMutator& operator=(const ClusterMutator&) = delete;
@@ -48,32 +47,43 @@ class ClusterMutator {
   // origin's engine, or the driver while the machine is quiescent. The
   // mutation is stamped with origin's current engine time and applied at
   // stamp + latency(), on the coordinator thread, with every engine quiescent
-  // and synchronized to the apply time. Arms the mutator as a side effect
-  // (Cluster::Run CHECKs that the first arm did not happen mid-drain).
+  // and synchronized to the apply time.
   void Enqueue(NodeId origin, EventFn fn);
-
-  // Switches Cluster::Run/RunFor from the exact legacy drain onto the
-  // windowed, mutation-aware drain. Sticky; call before the first Run that
-  // may observe an Enqueue. Constructing a ClusterWaitGroup/ClusterBarrier or
-  // starting a RemoteFork arms automatically.
-  void Arm() { armed_.store(true, std::memory_order_relaxed); }
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   // Uniform enqueue→apply latency: the cluster's conservative lookahead.
   SimDuration latency() const { return latency_; }
 
   // --- Coordinator-side drain interface (Cluster only) -----------------------
-  // All four are called with every engine quiescent (between windows, or with
-  // the single engine stopped).
+  // All four are called with every engine quiescent (between windows). The
+  // first three run on every drain-loop iteration, mostly with nothing
+  // pending, so they are inline.
 
   // Moves freshly-enqueued mutations from the per-shard outboxes into the
   // apply heap.
-  void Collect();
+  void Collect() {
+    for (auto& outbox : outboxes_) {
+      if (!outbox.empty()) {
+        CollectOutbox(outbox);
+      }
+    }
+  }
   // No mutation pending anywhere (heap and outboxes).
-  bool Idle() const;
+  bool Idle() const {
+    if (!heap_.empty()) {
+      return false;
+    }
+    for (const auto& outbox : outboxes_) {
+      if (!outbox.empty()) {
+        return false;
+      }
+    }
+    return true;
+  }
   // Apply time of the earliest pending mutation, kNever when the heap is
   // empty. Only meaningful after Collect().
-  SimTime NextApplyTime() const;
+  SimTime NextApplyTime() const {
+    return heap_.empty() ? kNever : ApplyTime(heap_.top().send_time);
+  }
   // Pops and runs every mutation whose apply time is `when`, in
   // (send_time, origin, seq) order. Mutations enqueued by a running mutation
   // land in the outboxes for the next Collect().
@@ -94,11 +104,14 @@ class ClusterMutator {
     }
   };
 
-  ShardRouter* router_;
+  void CollectOutbox(std::vector<Pending>& outbox);
+  SimTime ApplyTime(SimTime send_time) const {
+    return latency_ > kNever - send_time ? kNever : send_time + latency_;
+  }
+
+  ShardedEngine& engines_;
   SimDuration latency_;
   StatsRegistry* stats_;
-  // Atomic: shard threads enqueueing in one window all set it.
-  std::atomic<bool> armed_{false};
   // Only shard i's thread (or the quiescent driver) appends to outboxes_[i];
   // the coordinator drains them between windows — the same single-writer
   // discipline as the mesh mailbox. seq_ is per origin node: one origin's

@@ -5,14 +5,14 @@
 // the cross-thread driver mutation the sharded contract forbids; these route
 // every signal through the ClusterMutator instead, so arrival counts and
 // wake-ups are sequenced at deterministic inter-window points and cost one
-// lookahead uniformly at every shard count (--shards=1 included: arming the
-// mutator switches the cluster onto the same windowed drain).
+// lookahead uniformly at every shard count (--shards=1 included: it runs the
+// same windowed drain).
 //
-// Wake order is normalized to ascending node id. Because the node→shard map
-// is monotone, that makes the single-engine execution order of the released
-// coroutines (one queue, posted node-major) equal to the sharded replay
-// order of anything they send (shard-major mailbox keys) — ties at the
-// release timestamp stay byte-identical across shard counts.
+// Wake order is normalized to ascending node id, so every engine resumes its
+// share of the released coroutines in the same relative order at every shard
+// count, and anything they send is replayed in (send_time, source node, seq)
+// order — ties at the release timestamp stay byte-identical across shard
+// counts.
 #ifndef SRC_DSM_CLUSTER_SYNC_H_
 #define SRC_DSM_CLUSTER_SYNC_H_
 
@@ -56,9 +56,7 @@ inline void ResumeClusterWaiters(Cluster& cluster, std::vector<ClusterWaiter>& w
 // engine quiescent), so participants may live on any mix of shards.
 class ClusterWaitGroup {
  public:
-  explicit ClusterWaitGroup(Cluster& cluster) : cluster_(cluster) {
-    cluster_.mutator().Arm();
-  }
+  explicit ClusterWaitGroup(Cluster& cluster) : cluster_(cluster) {}
   ClusterWaitGroup(const ClusterWaitGroup&) = delete;
   ClusterWaitGroup& operator=(const ClusterWaitGroup&) = delete;
 
@@ -115,7 +113,6 @@ class ClusterBarrier {
  public:
   ClusterBarrier(Cluster& cluster, int parties) : cluster_(cluster), parties_(parties) {
     ASVM_CHECK_MSG(parties >= 1, "barrier needs at least one party");
-    cluster_.mutator().Arm();
   }
   ClusterBarrier(const ClusterBarrier&) = delete;
   ClusterBarrier& operator=(const ClusterBarrier&) = delete;

@@ -94,9 +94,6 @@ class DirectorySystem : public DsmSystem {
   }
 
   Future<VmMap*> RemoteFork(NodeId src, VmMap& parent, NodeId dst) override {
-    // Forks mutate the directory mid-run; arm the mutation API before the
-    // first drain so the cluster runs on the windowed, mutation-aware schedule.
-    cluster_.mutator().Arm();
     Promise<VmMap*> done(cluster_.engine_for(src));
     (void)RemoteForkTask(src, parent, dst, done);
     return done.GetFuture();
@@ -129,6 +126,7 @@ class DirectorySystem : public DsmSystem {
     for (NodeId n = 0; n < cluster_.node_count(); ++n) {
       agents_.push_back(std::make_unique<Agent>(system, n));
     }
+    AddAgentStallProbe();
   }
 
   // Hook run after a region's record is created.

@@ -8,6 +8,26 @@
 
 namespace asvm {
 
+DsmSystem::~DsmSystem() {
+  if (stall_engine_ != nullptr) {
+    stall_engine_->RemoveStallProbe(stall_probe_id_);
+  }
+}
+
+void DsmSystem::AddAgentStallProbe() {
+  // The probe registers on the root engine (not a node's shard engine): only
+  // the root runs stall checks, once, at the final global drain — when every
+  // shard is quiescent and pending-op state is safe to read.
+  stall_engine_ = &cluster().engine();
+  stall_probe_id_ = stall_engine_->AddStallProbe([this](std::string& report) {
+    bool blocked = false;
+    for (NodeId n = 0; n < cluster().node_count(); ++n) {
+      blocked |= protocol_agent(n).DescribeStall(report);
+    }
+    return blocked;
+  });
+}
+
 void DsmSystem::ReportDeath(NodeId reporter, NodeId dead) {
   const FailoverConfig& fo = cluster().params().failover;
   if (!fo.enabled || !fo.death_notices) {

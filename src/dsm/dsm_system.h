@@ -24,7 +24,12 @@ class ProtocolAgent;
 
 class DsmSystem {
  public:
-  virtual ~DsmSystem() = default;
+  DsmSystem() = default;
+  virtual ~DsmSystem();
+
+  // The agents' stall probe holds this system's address.
+  DsmSystem(const DsmSystem&) = delete;
+  DsmSystem& operator=(const DsmSystem&) = delete;
 
   virtual std::string_view name() const = 0;
 
@@ -96,6 +101,10 @@ class DsmSystem {
   // The protocol agent running on `node`.
   virtual ProtocolAgent& protocol_agent(NodeId node) = 0;
 
+  // Registers the stall-watchdog probe that reports every agent's blocked
+  // work, in node order. Concrete systems call it once their agents exist.
+  void AddAgentStallProbe();
+
   // True unless the fault plan has removed `node` by now.
   bool Alive(NodeId node);
 
@@ -126,6 +135,9 @@ class DsmSystem {
   FailoverCounters failover_counters_;
   // Nodes whose death has already been gossiped (first notice wins).
   std::set<NodeId> death_noticed_;
+  // The agents' stall probe, removed by ~DsmSystem (null until added).
+  Engine* stall_engine_ = nullptr;
+  int stall_probe_id_ = -1;
 };
 
 }  // namespace asvm

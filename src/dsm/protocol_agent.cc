@@ -19,11 +19,6 @@ ProtocolAgent::ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_pr
       retry_(dsm.cluster().params().retry),
       trace_(&dsm.cluster().trace_sink()),
       trace_protocol_(trace_protocol) {
-  // The probe registers on the root engine (not this node's shard engine):
-  // under sharding only the root runs stall checks, once, at the final global
-  // drain — when every shard is quiescent and pending-op state is safe to read.
-  stall_probe_id_ = dsm_.cluster().engine().AddStallProbe(
-      [this](std::string& report) { return DescribeStall(report); });
   // A delivered request id must be remembered for as long as its initiator
   // may still resend it. The last retry fires after the sum of every armed
   // deadline; doubling that span covers transit and service slack, after
@@ -37,8 +32,6 @@ ProtocolAgent::ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_pr
     delivered_retention_ns_ = 2 * std::min(horizon, kHorizonCap);
   }
 }
-
-ProtocolAgent::~ProtocolAgent() { dsm_.cluster().engine().RemoveStallProbe(stall_probe_id_); }
 
 void ProtocolAgent::Listen(Transport& transport, ProtocolId protocol) {
   transport.RegisterHandler(
@@ -382,7 +375,7 @@ void ProtocolAgent::CountDuplicate() {
 
 void ProtocolAgent::Trace(TraceKind kind, const MemObjectId& object, PageIndex page,
                           NodeId peer, int64_t aux, uint64_t op) {
-  if (!trace_->armed()) {
+  if (!trace_->enabled()) {
     return;
   }
   TraceEvent e;

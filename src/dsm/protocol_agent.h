@@ -55,9 +55,15 @@ class ProtocolAgent {
 
   ShadowStream& shadow() { return shadow_; }
 
+  // Stall-watchdog probe body (DsmSystem runs it for every agent): appends a
+  // description of every open pending op (and, in subclasses, the coherency
+  // state of the implicated pages). Returns true if this agent holds blocked
+  // work.
+  virtual bool DescribeStall(std::string& out) const;
+
  protected:
   ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_protocol);
-  ~ProtocolAgent();
+  ~ProtocolAgent() = default;
 
   // Subclass dispatcher for messages addressed to (protocol, node()).
   virtual void OnMessage(NodeId src, Message msg) = 0;
@@ -174,12 +180,6 @@ class ProtocolAgent {
   // never schedules events, so timelines are identical traced or not.
   void Trace(TraceKind kind, const MemObjectId& object, PageIndex page,
              NodeId peer = kInvalidNode, int64_t aux = 0, uint64_t op = 0);
-  bool trace_armed() const { return trace_->armed(); }
-
-  // Stall-watchdog probe body: appends a description of every open pending op
-  // (and, in subclasses, the coherency state of the implicated pages).
-  // Returns true if this agent holds blocked work.
-  virtual bool DescribeStall(std::string& out) const;
 
   const RetryPolicy& retry_policy() const { return retry_; }
 
@@ -216,7 +216,6 @@ class ProtocolAgent {
   RetryPolicy retry_;
   TraceSink* trace_;  // the cluster's machine-wide sink (never null)
   TraceProtocol trace_protocol_;
-  int stall_probe_id_ = -1;
   std::unordered_map<uint64_t, std::unique_ptr<PendingOp>> pending_ops_;
   // Delivered request op ids, remembered until no retry of the op can still be
   // in flight (time-based retention, not a fixed-size window: a count-bounded

@@ -26,7 +26,7 @@ void Disk::Write(int64_t position, size_t bytes, EventFn done) {
 }
 
 void Disk::TraceOp(TraceKind kind, int64_t position, size_t bytes) {
-  if (trace_ == nullptr || !trace_->armed()) {
+  if (trace_ == nullptr || !trace_->enabled()) {
     return;
   }
   TraceEvent e;

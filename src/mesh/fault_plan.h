@@ -83,9 +83,9 @@ class FaultPlan {
 
   const FaultPlanParams& params() const { return params_; }
 
-  // --- Queried by Network::Send per message ---------------------------------
+  // --- Queried by the Network per message -----------------------------------
   // False: the message is black-holed (src or dst removed by now). Counted.
-  // The explicit-time overload serves the sharded barrier, which evaluates
+  // The explicit-time overload serves the barrier replay, which evaluates
   // records at their recorded send time rather than at the plan engine's Now.
   bool Delivers(NodeId src, NodeId dst);
   bool Delivers(NodeId src, NodeId dst, SimTime now);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "src/common/log.h"
 
 namespace asvm {
 
@@ -16,16 +19,16 @@ SimDuration SerializationTime(size_t bytes, double bandwidth_bytes_per_ns) {
 
 SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
   ASVM_CHECK_MSG(topology_.Contains(src) && topology_.Contains(dst),
-                 "Network::Send node out of range: src " + std::to_string(src) + ", dst " +
+                 "Network: node out of range: src " + std::to_string(src) + ", dst " +
                      std::to_string(dst) + " (mesh has " +
                      std::to_string(topology_.node_count()) + " nodes)");
-  ASVM_CHECK_MSG(src != dst, "Network::Send used for local delivery: src == dst == " +
+  ASVM_CHECK_MSG(src != dst, "Network used for local delivery: src == dst == " +
                                  std::to_string(src) +
                                  "; intra-node messages must bypass the mesh "
-                                 "(Transport handles them without a Network::Send)");
+                                 "(Transport delivers them itself)");
 
   if (fault_ != nullptr && !fault_->Delivers(src, dst, now)) {
-    if (trace_ != nullptr && trace_->armed()) {
+    if (trace_ != nullptr && trace_->enabled()) {
       TraceEvent e;
       e.time = now;
       e.node = src;
@@ -65,7 +68,7 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
     messages_.Add(*stats_, "mesh.messages");
     bytes_.Add(*stats_, "mesh.bytes", static_cast<int64_t>(bytes));
   }
-  if (jitter != 0 && trace_ != nullptr && trace_->armed()) {
+  if (jitter != 0 && trace_ != nullptr && trace_->enabled()) {
     TraceEvent e;
     e.time = now;
     e.node = dst;
@@ -77,15 +80,6 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
   }
 
   return rx_done;
-}
-
-void Network::Send(NodeId src, NodeId dst, size_t bytes, EventFn deliver) {
-  const SimTime now = engine_.Now();
-  const SimTime rx_done = Admit(now, src, dst, bytes);
-  if (rx_done < 0) {
-    return;
-  }
-  engine_.Schedule(rx_done - now, std::move(deliver));
 }
 
 SimTime Network::ProcessRecord(const MeshRecord& record) {

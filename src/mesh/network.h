@@ -8,7 +8,6 @@
 #ifndef SRC_MESH_NETWORK_H_
 #define SRC_MESH_NETWORK_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -16,7 +15,7 @@
 #include "src/common/types.h"
 #include "src/mesh/fault_plan.h"
 #include "src/mesh/topology.h"
-#include "src/sim/engine.h"
+#include "src/sim/event_fn.h"
 
 namespace asvm {
 
@@ -28,13 +27,13 @@ struct MeshParams {
   SimDuration route_setup_ns = 500;              // packetize + inject
 };
 
-// A cross-node message captured during a window instead of being pushed
-// through the fabric immediately. The transport stamps the send-side software
-// completion time (send_time); all fabric math — endpoint busy channels,
-// jitter, stats — is deferred to the inter-window barrier, which replays
-// records in global (send_time, source node, per-source emission order) order
-// so the tx/rx busy-channel updates happen in one canonical sequence at every
-// shard count, the armed single engine included (DESIGN.md §13).
+// A cross-node message on its way into the fabric. The transport stamps the
+// send-side software completion time (send_time) and appends the record to
+// its shard's outbox; all fabric math — endpoint busy channels, jitter,
+// stats — is deferred to the inter-window barrier, which replays records in
+// global (send_time, source node, per-source emission order) order so the
+// tx/rx busy-channel updates happen in one canonical sequence at every shard
+// count (DESIGN.md §13).
 struct MeshRecord {
   SimTime send_time = 0;
   NodeId src = kInvalidNode;
@@ -43,11 +42,14 @@ struct MeshRecord {
   EventFn deliver;
 };
 
+// One outbox of records per shard; only shard i's thread appends to
+// outboxes[i], and the coordinator drains them between windows.
+using MeshOutboxes = std::vector<std::vector<MeshRecord>>;
+
 class Network {
  public:
-  Network(Engine& engine, Topology topology, MeshParams params, StatsRegistry* stats)
-      : engine_(engine),
-        topology_(topology),
+  Network(Topology topology, MeshParams params, StatsRegistry* stats)
+      : topology_(topology),
         params_(params),
         stats_(stats),
         tx_busy_until_(topology.node_count(), 0),
@@ -55,17 +57,12 @@ class Network {
 
   const Topology& topology() const { return topology_; }
 
-  // Simulates transmission of `bytes` from src to dst and runs `deliver` at
-  // the simulated delivery time. src == dst is not a network operation and is
-  // rejected; callers handle local delivery themselves. `deliver` is an
-  // EventFn so a captured Message envelope rides inline through the
-  // scheduler's pooled event nodes — no per-hop allocation.
-  void Send(NodeId src, NodeId dst, size_t bytes, EventFn deliver);
-
-  // Sharded barrier path: runs the same admission math as Send but at the
-  // record's stamped send time. Returns the delivery completion time (the
-  // caller injects record.deliver into the destination shard at that time),
-  // or -1 when a fault plan drops the message.
+  // Admits a record into the fabric at its stamped send time: simulates
+  // transmission of record.bytes from record.src to record.dst. Returns the
+  // delivery completion time (the caller injects record.deliver into the
+  // destination's engine at that time), or -1 when a fault plan drops the
+  // message. src == dst is not a network operation and is rejected; the
+  // transport handles local delivery itself.
   SimTime ProcessRecord(const MeshRecord& record);
 
   // Modeled one-way latency of an uncontended message (for tests/diagnostics).
@@ -84,11 +81,10 @@ class Network {
   const MeshParams& params() const { return params_; }
 
  private:
-  // Shared admission core: fabric timing evaluated at `now`. Returns the
-  // delivery completion time, or -1 when the fault plan drops the message.
+  // Admission core: fabric timing evaluated at `now`. Returns the delivery
+  // completion time, or -1 when the fault plan drops the message.
   SimTime Admit(SimTime now, NodeId src, NodeId dst, size_t bytes);
 
-  Engine& engine_;
   Topology topology_;
   MeshParams params_;
   StatsRegistry* stats_;

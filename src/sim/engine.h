@@ -103,8 +103,8 @@ class Engine {
   }
   uint64_t stalls_detected() const { return stalls_detected_; }
 
-  // Sharded runs drain each shard's queue many times per window while blocked
-  // work legitimately waits on cross-shard messages still in the mailbox.
+  // A cluster's drain loop empties each shard's queue many times while
+  // blocked work legitimately waits on messages still in an outbox.
   // Deferring suppresses the automatic drain-time checks; the coordinator
   // calls ForceStallCheck() once at the final global drain instead.
   void set_defer_stall_checks(bool defer) { defer_stall_checks_ = defer; }

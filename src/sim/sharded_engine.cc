@@ -7,17 +7,23 @@
 namespace asvm {
 
 ShardedEngine::ShardedEngine(int shard_count, int node_count, int nodes_per_block,
-                             SchedulerKind scheduler)
-    : nodes_per_block_(nodes_per_block) {
+                             SchedulerKind scheduler) {
   ASVM_CHECK_MSG(shard_count >= 1, "shard count must be positive");
   ASVM_CHECK_MSG(node_count >= 1 && nodes_per_block >= 1, "bad shard partition");
-  block_count_ = (node_count + nodes_per_block - 1) / nodes_per_block;
-  ASVM_CHECK_MSG(shard_count <= block_count_,
+  const int block_count = (node_count + nodes_per_block - 1) / nodes_per_block;
+  ASVM_CHECK_MSG(shard_count <= block_count,
                  "more shards than io-group blocks; lower --shards or the "
                  "io-group size");
   engines_.reserve(shard_count);
   for (int i = 0; i < shard_count; ++i) {
     engines_.push_back(std::make_unique<Engine>(scheduler));
+  }
+  node_shard_.resize(static_cast<size_t>(node_count));
+  node_engine_.resize(static_cast<size_t>(node_count));
+  for (NodeId n = 0; n < node_count; ++n) {
+    const int shard = (n / nodes_per_block) * shard_count / block_count;
+    node_shard_[static_cast<size_t>(n)] = shard;
+    node_engine_[static_cast<size_t>(n)] = engines_[shard].get();
   }
   for (int i = 1; i < shard_count; ++i) {
     workers_.emplace_back([this, i]() { WorkerLoop(i); });
@@ -74,33 +80,6 @@ void ShardedEngine::RunWindow(SimTime deadline) {
   engines_[0]->RunUntil(deadline);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&]() { return running_ == 0; });
-}
-
-bool ShardedEngine::AllEmpty() const {
-  for (const auto& engine : engines_) {
-    if (!engine->empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-SimTime ShardedEngine::MinNextTime() {
-  SimTime next = kNoEvent;
-  for (auto& engine : engines_) {
-    if (!engine->empty()) {
-      next = std::min(next, engine->NextEventTime());
-    }
-  }
-  return next;
-}
-
-SimTime ShardedEngine::MaxNow() const {
-  SimTime now = 0;
-  for (const auto& engine : engines_) {
-    now = std::max(now, engine->Now());
-  }
-  return now;
 }
 
 uint64_t ShardedEngine::TotalExecuted() const {

@@ -1,9 +1,11 @@
 // Conservative-lookahead parallel simulation: N independent Engines, one per
 // shard of the node space, driven in lockstep windows by a persistent worker
 // pool. The ShardedEngine owns only the engines and the thread barrier; the
-// window/lookahead policy (how far each window may run, how cross-shard
+// window/lookahead policy (how far each window may run, how cross-node
 // messages are exchanged at the barrier) lives with the caller — for the DSM
-// cluster that is Cluster::DrainSharded (DESIGN.md §13).
+// cluster that is Cluster::DrainSharded (DESIGN.md §13). Every Cluster is
+// built on one, whatever its shard count: with one shard no worker is
+// spawned and each window runs inline on the calling thread.
 //
 // Threading contract: shard engines run concurrently ONLY inside RunWindow().
 // Between windows (and before/after a run) all engines are quiescent and the
@@ -14,6 +16,7 @@
 #ifndef SRC_SIM_SHARDED_ENGINE_H_
 #define SRC_SIM_SHARDED_ENGINE_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
@@ -41,28 +44,52 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   int shard_count() const { return static_cast<int>(engines_.size()); }
+  int node_count() const { return static_cast<int>(node_shard_.size()); }
   Engine& shard(int i) { return *engines_[i]; }
 
-  int shard_of(NodeId node) const {
-    const int block = static_cast<int>(node) / nodes_per_block_;
-    return block * shard_count() / block_count_;
-  }
-  Engine& engine_for_node(NodeId node) { return *engines_[shard_of(node)]; }
+  // Node -> shard and node -> engine. Transport::Send and Deliver look these
+  // up on every message, so both are one load from a per-node table.
+  int shard_of(NodeId node) const { return node_shard_[static_cast<size_t>(node)]; }
+  Engine& engine_for_node(NodeId node) { return *node_engine_[static_cast<size_t>(node)]; }
 
   // Runs every shard engine up to and including `deadline`, in parallel.
-  // Shard 0 runs on the calling thread; the rest on the persistent workers.
-  // Returns once all shards have drained their window.
+  // Shard 0 runs on the calling thread; the rest on the persistent workers
+  // (none with one shard). Returns once all shards have drained their window.
   void RunWindow(SimTime deadline);
 
+  // The three queries below run on every drain-loop iteration (AwaitLatency
+  // polls RunFor millions of times per paper bench), so they are inline.
+
   // No pending event anywhere. Valid only between windows.
-  bool AllEmpty() const;
+  bool AllEmpty() const {
+    for (const auto& engine : engines_) {
+      if (!engine->empty()) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   // Earliest pending event time across all shards, or kNoEvent when AllEmpty.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
-  SimTime MinNextTime();
+  SimTime MinNextTime() {
+    SimTime next = kNoEvent;
+    for (auto& engine : engines_) {
+      if (!engine->empty()) {
+        next = std::min(next, engine->NextEventTime());
+      }
+    }
+    return next;
+  }
 
   // Latest shard-local clock; the machine-visible Now() of a sharded run.
-  SimTime MaxNow() const;
+  SimTime MaxNow() const {
+    SimTime now = 0;
+    for (const auto& engine : engines_) {
+      now = std::max(now, engine->Now());
+    }
+    return now;
+  }
 
   uint64_t TotalExecuted() const;
 
@@ -71,9 +98,9 @@ class ShardedEngine {
  private:
   void WorkerLoop(int shard_index);
 
-  const int nodes_per_block_;
-  int block_count_;
   std::vector<std::unique_ptr<Engine>> engines_;
+  std::vector<int> node_shard_;       // indexed by node
+  std::vector<Engine*> node_engine_;  // indexed by node
 
   // Window barrier state, guarded by mu_.
   std::mutex mu_;

@@ -38,15 +38,15 @@ uint64_t MessageOpId(const Message& msg) {
 
 }  // namespace
 
-Transport::Transport(Engine& engine, Network& network, std::string name, TransportCosts costs,
-                     StatsRegistry* stats)
-    : engine_(engine),
-      network_(network),
+Transport::Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
+                     TransportCosts costs, StatsRegistry* stats)
+    : engines_(engines),
+      outboxes_(outboxes),
       name_(std::move(name)),
       costs_(costs),
       stats_(stats),
-      handlers_(kMaxProtocols * network.topology().node_count()),
-      cpu_busy_until_(network.topology().node_count(), 0) {
+      handlers_(kMaxProtocols * engines.node_count()),
+      cpu_busy_until_(engines.node_count(), 0) {
   if (stats_ != nullptr) {
     messages_counter_ = &stats_->Counter("transport." + name_ + ".messages");
     bytes_counter_ = &stats_->Counter("transport." + name_ + ".bytes");
@@ -110,7 +110,7 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
       CountType(msg);
     }
   }
-  if (trace_ != nullptr && trace_->armed()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     TraceEvent e;
     e.time = node_engine(src).Now();
     e.node = src;
@@ -140,41 +140,28 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
   // one another and behind incoming-message processing. cpu_busy_until_[n] is
   // only ever touched from node n's engine (its shard's thread), so sharded
   // runs race nowhere here.
-  Engine& src_engine = node_engine(src);
-  const SimTime now = src_engine.Now();
+  const SimTime now = node_engine(src).Now();
   const SimTime send_done = std::max(now, cpu_busy_until_[src]) + SwCost(costs_.send_sw_ns, src);
   cpu_busy_until_[src] = send_done;
 
-  const size_t wire_bytes = msg.WireBytes() + costs_.control_overhead_bytes;
-  if (outboxes_ != nullptr) {
-    // Outbox path (all sharded runs, and armed shards=1 drains): defer ALL
-    // fabric math (tx/rx busy channels, jitter, mesh stats) to the barrier,
-    // which replays records in (send_time, source node, per-source seq)
-    // order — including same-shard cross-node traffic, so the endpoint busy
-    // channels update in one canonical sequence at every shard count.
-    MeshRecord record;
-    record.send_time = send_done;
-    record.src = src;
-    record.dst = dst;
-    record.bytes = wire_bytes;
-    record.deliver = [this, src, dst, msg = std::move(msg)]() mutable {
-      Deliver(src, dst, std::move(msg));
-    };
-    (*outboxes_)[router_->shard_of(src)].push_back(std::move(record));
-    return;
-  }
-  src_engine.Schedule(send_done - now,
-                      [this, src, dst, wire_bytes, msg = std::move(msg)]() mutable {
-                        network_.Send(src, dst, wire_bytes,
-                                      [this, src, dst, msg = std::move(msg)]() mutable {
-                                        Deliver(src, dst, std::move(msg));
-                                      });
-                      });
+  // All fabric math (tx/rx busy channels, jitter, mesh stats) is deferred to
+  // the barrier, which replays records in (send_time, source node,
+  // per-source seq) order — including same-shard traffic, so the endpoint
+  // busy channels update in one canonical sequence at every shard count.
+  MeshRecord record;
+  record.send_time = send_done;
+  record.src = src;
+  record.dst = dst;
+  record.bytes = msg.WireBytes() + costs_.control_overhead_bytes;
+  record.deliver = [this, src, dst, msg = std::move(msg)]() mutable {
+    Deliver(src, dst, std::move(msg));
+  };
+  outboxes_[static_cast<size_t>(engines_.shard_of(src))].push_back(std::move(record));
 }
 
 void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
   Engine& dst_engine = node_engine(dst);
-  if (trace_ != nullptr && trace_->armed()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     TraceEvent e;
     e.time = dst_engine.Now();
     e.node = dst;

@@ -10,7 +10,9 @@
 //
 // Both charge a software send overhead serialized on the sending node and a
 // software receive overhead serialized on the receiving node, over the same
-// mesh fabric.
+// mesh fabric. A cross-node send never touches the fabric directly: it
+// becomes a MeshRecord in the sending shard's outbox, and the cluster's
+// barrier replays it through Network::ProcessRecord (DESIGN.md §13).
 #ifndef SRC_TRANSPORT_TRANSPORT_H_
 #define SRC_TRANSPORT_TRANSPORT_H_
 
@@ -26,7 +28,7 @@
 #include "src/common/types.h"
 #include "src/mesh/network.h"
 #include "src/sim/engine.h"
-#include "src/sim/shard_router.h"
+#include "src/sim/sharded_engine.h"
 #include "src/transport/message.h"
 
 namespace asvm {
@@ -42,8 +44,11 @@ class Transport {
  public:
   using Handler = std::function<void(NodeId src, Message msg)>;
 
-  Transport(Engine& engine, Network& network, std::string name, TransportCosts costs,
-            StatsRegistry* stats);
+  // `engines` maps each node to the engine that simulates it; cross-node
+  // sends append to `outboxes` (one per shard, drained by the cluster). Both
+  // must outlive the transport.
+  Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
+            TransportCosts costs, StatsRegistry* stats);
   virtual ~Transport() = default;
 
   Transport(const Transport&) = delete;
@@ -55,7 +60,8 @@ class Transport {
 
   // Sends msg from src to dst. Delivery invokes the registered handler after
   // the modeled software + wire latency. src == dst is a local delivery that
-  // bypasses the mesh.
+  // bypasses the mesh; any other send is queued in the source shard's outbox
+  // and enters the fabric when the cluster replays it.
   void Send(NodeId src, NodeId dst, Message msg);
 
   const std::string& name() const { return name_; }
@@ -75,16 +81,6 @@ class Transport {
   // body has one, the protocol op id. Host-side only.
   void set_trace(TraceSink* sink) { trace_ = sink; }
 
-  // Sharded mode (both not owned): sends route per-node engines, and every
-  // cross-node message becomes a MeshRecord in the sending shard's outbox
-  // instead of entering the fabric immediately — the barrier replays them in
-  // global send-time order (DESIGN.md §13). Never set in single-engine runs,
-  // which keep the exact legacy path.
-  void set_sharding(ShardRouter* router, std::vector<std::vector<MeshRecord>>* outboxes) {
-    router_ = router;
-    outboxes_ = outboxes;
-  }
-
  private:
   // Protocol ids are small contiguous integers; message-type tags are small
   // per-protocol enums. Both are bounded so dispatch and the per-type counter
@@ -96,12 +92,10 @@ class Transport {
   Handler& HandlerSlot(ProtocolId protocol, NodeId node);
   void CountType(const Message& msg);
   SimDuration SwCost(SimDuration base, NodeId node);
-  Engine& node_engine(NodeId node) {
-    return router_ != nullptr ? router_->engine_for(node) : engine_;
-  }
+  Engine& node_engine(NodeId node) { return engines_.engine_for_node(node); }
 
-  Engine& engine_;
-  Network& network_;
+  ShardedEngine& engines_;
+  MeshOutboxes& outboxes_;
   std::string name_;
   TransportCosts costs_;
   StatsRegistry* stats_;
@@ -121,8 +115,6 @@ class Transport {
   bool per_type_stats_ = false;
   std::array<std::array<CounterHandle, kMaxMsgTypes>, kMaxProtocols> type_counters_;
   CounterHandle slowed_messages_;
-  ShardRouter* router_ = nullptr;
-  std::vector<std::vector<MeshRecord>>* outboxes_ = nullptr;
 };
 
 // Factory helpers with the calibrated cost models (see DESIGN.md §4).
@@ -132,22 +124,22 @@ TransportCosts NormaIpcCosts();
 
 class StsTransport : public Transport {
  public:
-  StsTransport(Engine& engine, Network& network, StatsRegistry* stats)
-      : Transport(engine, network, "sts", StsCosts(), stats) {}
+  StsTransport(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
+      : Transport(engines, outboxes, "sts", StsCosts(), stats) {}
 };
 
 // STS channel for trivial preformatted control messages (invalidation
 // rounds): Table 1's ~0.1 ms-per-reader slope comes from this path.
 class StsCtlTransport : public Transport {
  public:
-  StsCtlTransport(Engine& engine, Network& network, StatsRegistry* stats)
-      : Transport(engine, network, "sts_ctl", StsCtlCosts(), stats) {}
+  StsCtlTransport(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
+      : Transport(engines, outboxes, "sts_ctl", StsCtlCosts(), stats) {}
 };
 
 class NormaIpc : public Transport {
  public:
-  NormaIpc(Engine& engine, Network& network, StatsRegistry* stats)
-      : Transport(engine, network, "norma", NormaIpcCosts(), stats) {}
+  NormaIpc(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
+      : Transport(engines, outboxes, "norma", NormaIpcCosts(), stats) {}
 };
 
 }  // namespace asvm

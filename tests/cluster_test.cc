@@ -60,7 +60,7 @@ TEST(ClusterTest, TransportsShareOneEngineAndStats) {
   Message msg;
   msg.protocol = ProtocolId::kPagerControl;
   cluster.sts().Send(0, 2, std::move(msg));
-  cluster.engine().Run();
+  cluster.Run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(cluster.stats().Get("transport.sts.messages"), 1);
   EXPECT_EQ(cluster.stats().Get("mesh.messages"), 1);

@@ -1,5 +1,5 @@
 // Shared helpers for DSM-level tests: a small cluster, per-node task memory,
-// and synchronous read/write drivers that run the engine to completion.
+// and synchronous read/write drivers that run the cluster to completion.
 #ifndef TESTS_DSM_TEST_UTIL_H_
 #define TESTS_DSM_TEST_UTIL_H_
 
@@ -62,47 +62,47 @@ class DsmRegionHarness {
 
   TaskMemory& mem(NodeId n) { return *memories_.at(n); }
 
-  // Synchronous drivers: issue the access, run the engine until quiescent.
+  // Synchronous drivers: issue the access, run the cluster until quiescent.
   uint64_t Read(NodeId n, VmOffset addr) {
     auto f = mem(n).ReadU64(addr);
-    cluster_.engine().Run();
+    cluster_.Run();
     EXPECT_TRUE(f.ready()) << "read did not complete (node " << n << ", addr " << addr << ")";
     return f.ready() ? f.value() : ~0ULL;
   }
 
   void Write(NodeId n, VmOffset addr, uint64_t value) {
     auto f = mem(n).WriteU64(addr, value);
-    cluster_.engine().Run();
+    cluster_.Run();
     ASSERT_TRUE(f.ready()) << "write did not complete (node " << n << ", addr " << addr << ")";
     ASSERT_EQ(f.value(), Status::kOk);
   }
 
   // Timed variant: returns the simulated duration of the access.
   SimDuration TimedWrite(NodeId n, VmOffset addr, uint64_t value) {
-    const SimTime start = cluster_.engine().Now();
+    const SimTime start = cluster_.Now();
     auto f = mem(n).WriteU64(addr, value);
     // Run only until the access completes (background work may continue).
-    while (!f.ready() && !cluster_.engine().empty()) {
-      cluster_.engine().RunFor(10 * kMicrosecond);
+    while (!f.ready() && !cluster_.Empty()) {
+      cluster_.RunFor(10 * kMicrosecond);
     }
     EXPECT_TRUE(f.ready());
-    const SimDuration elapsed = cluster_.engine().Now() - start;
-    cluster_.engine().Run();  // drain background traffic
+    const SimDuration elapsed = cluster_.Now() - start;
+    cluster_.Run();  // drain background traffic
     return elapsed;
   }
 
   SimDuration TimedRead(NodeId n, VmOffset addr, uint64_t* out = nullptr) {
-    const SimTime start = cluster_.engine().Now();
+    const SimTime start = cluster_.Now();
     auto f = mem(n).ReadU64(addr);
-    while (!f.ready() && !cluster_.engine().empty()) {
-      cluster_.engine().RunFor(10 * kMicrosecond);
+    while (!f.ready() && !cluster_.Empty()) {
+      cluster_.RunFor(10 * kMicrosecond);
     }
     EXPECT_TRUE(f.ready());
     if (out != nullptr && f.ready()) {
       *out = f.value();
     }
-    const SimDuration elapsed = cluster_.engine().Now() - start;
-    cluster_.engine().Run();
+    const SimDuration elapsed = cluster_.Now() - start;
+    cluster_.Run();
     return elapsed;
   }
 

@@ -5,7 +5,6 @@
 #include "src/common/stats.h"
 #include "src/mesh/network.h"
 #include "src/mesh/topology.h"
-#include "src/sim/engine.h"
 
 namespace asvm {
 namespace {
@@ -53,11 +52,22 @@ TEST(TopologyTest, ContainsRespectsPartialLastRow) {
   EXPECT_FALSE(t5.Contains(-1));
 }
 
+// The fabric is driven the way the cluster's barrier replay drives it: one
+// MeshRecord at a time through ProcessRecord, which returns the delivery
+// completion time.
+MeshRecord Record(NodeId src, NodeId dst, size_t bytes, SimTime send_time = 0) {
+  MeshRecord record;
+  record.send_time = send_time;
+  record.src = src;
+  record.dst = dst;
+  record.bytes = bytes;
+  return record;
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : network_(engine_, Topology(4, 4), MeshParams{}, &stats_) {}
+  NetworkTest() : network_(Topology(4, 4), MeshParams{}, &stats_) {}
 
-  Engine engine_;
   StatsRegistry stats_;
   Network network_;
 };
@@ -71,16 +81,16 @@ TEST_F(NetworkTest, UncontendedLatencyMatchesModel) {
 }
 
 TEST_F(NetworkTest, DeliversAtModeledTime) {
-  SimTime delivered = -1;
-  network_.Send(0, 15, 8192, [&]() { delivered = engine_.Now(); });
-  engine_.Run();
-  EXPECT_EQ(delivered, network_.UncontendedLatency(0, 15, 8192));
+  EXPECT_EQ(network_.ProcessRecord(Record(0, 15, 8192)),
+            network_.UncontendedLatency(0, 15, 8192));
+  // A later send time shifts the delivery by exactly that much.
+  Network fresh(Topology(4, 4), MeshParams{}, &stats_);
+  EXPECT_EQ(fresh.ProcessRecord(Record(0, 15, 8192, 1000)),
+            1000 + fresh.UncontendedLatency(0, 15, 8192));
 }
 
 TEST_F(NetworkTest, SmallMessagesAreFast) {
-  SimTime delivered = -1;
-  network_.Send(0, 1, 32, [&]() { delivered = engine_.Now(); });
-  engine_.Run();
+  const SimTime delivered = network_.ProcessRecord(Record(0, 1, 32));
   // 32 bytes at 200 MB/s is 160 ns; total should be well under 1 us.
   EXPECT_LT(delivered, 1000);
   EXPECT_GT(delivered, 0);
@@ -89,10 +99,8 @@ TEST_F(NetworkTest, SmallMessagesAreFast) {
 TEST_F(NetworkTest, SourceInjectionSerializesBackToBackSends) {
   std::vector<SimTime> deliveries;
   for (int i = 0; i < 4; ++i) {
-    network_.Send(0, 15, 8192, [&]() { deliveries.push_back(engine_.Now()); });
+    deliveries.push_back(network_.ProcessRecord(Record(0, 15, 8192)));
   }
-  engine_.Run();
-  ASSERT_EQ(deliveries.size(), 4u);
   const SimDuration ser = static_cast<SimDuration>(8192 / MeshParams{}.bandwidth_bytes_per_ns);
   for (size_t i = 1; i < deliveries.size(); ++i) {
     // Each subsequent page cannot finish earlier than one serialization time
@@ -105,10 +113,8 @@ TEST_F(NetworkTest, FanInSerializesAtReceiver) {
   // Many senders, one destination: ejection link serializes.
   std::vector<SimTime> deliveries;
   for (NodeId src = 1; src <= 8; ++src) {
-    network_.Send(src, 0, 8192, [&]() { deliveries.push_back(engine_.Now()); });
+    deliveries.push_back(network_.ProcessRecord(Record(src, 0, 8192)));
   }
-  engine_.Run();
-  ASSERT_EQ(deliveries.size(), 8u);
   const SimDuration ser = static_cast<SimDuration>(8192 / MeshParams{}.bandwidth_bytes_per_ns);
   for (size_t i = 1; i < deliveries.size(); ++i) {
     EXPECT_GE(deliveries[i] - deliveries[i - 1], ser);
@@ -116,20 +122,16 @@ TEST_F(NetworkTest, FanInSerializesAtReceiver) {
 }
 
 TEST_F(NetworkTest, DistinctPairsDoNotContend) {
-  SimTime d1 = -1;
-  SimTime d2 = -1;
-  network_.Send(0, 1, 8192, [&]() { d1 = engine_.Now(); });
-  network_.Send(2, 3, 8192, [&]() { d2 = engine_.Now(); });
-  engine_.Run();
+  const SimTime d1 = network_.ProcessRecord(Record(0, 1, 8192));
+  const SimTime d2 = network_.ProcessRecord(Record(2, 3, 8192));
   // Both complete in the uncontended time (equal hops, equal size).
   EXPECT_EQ(d1, network_.UncontendedLatency(0, 1, 8192));
   EXPECT_EQ(d2, network_.UncontendedLatency(2, 3, 8192));
 }
 
 TEST_F(NetworkTest, StatsCountMessagesAndBytes) {
-  network_.Send(0, 1, 100, []() {});
-  network_.Send(1, 2, 200, []() {});
-  engine_.Run();
+  network_.ProcessRecord(Record(0, 1, 100));
+  network_.ProcessRecord(Record(1, 2, 200));
   EXPECT_EQ(stats_.Get("mesh.messages"), 2);
   EXPECT_EQ(stats_.Get("mesh.bytes"), 300);
 }
@@ -139,10 +141,9 @@ TEST_F(NetworkTest, FartherNodesTakeLonger) {
 }
 
 TEST(NetworkDeathTest, LocalSendRejected) {
-  Engine engine;
   StatsRegistry stats;
-  Network network(engine, Topology(2, 2), MeshParams{}, &stats);
-  EXPECT_DEATH(network.Send(1, 1, 32, []() {}), "local delivery");
+  Network network(Topology(2, 2), MeshParams{}, &stats);
+  EXPECT_DEATH(network.ProcessRecord(Record(1, 1, 32)), "local delivery");
 }
 
 }  // namespace

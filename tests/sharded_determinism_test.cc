@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/sor.h"
@@ -443,6 +444,41 @@ TEST(ClusterMutatorTest, SameTimestampMutationsApplyInNodeSeqOrder) {
     machine.Run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 20, 40})) << "at shards=" << shards;
   }
+}
+
+// --- Fabric tie-order unit test ----------------------------------------------------
+
+TEST(ClusterFabricTest, SameInstantSendsReplayInSourceOrderAtEveryShardCount) {
+  // Nodes 3 and 1 both send to node 0 from events at t=0, node 3's event
+  // scheduled first. The two records carry the same send time, so the replay
+  // key (send_time, source node, seq) admits node 1's first into the fabric
+  // at every shard count — not whichever event the engine happened to run
+  // first. Node 1 is one hop from node 0 and node 3 two, so the order shows
+  // in the delivery times.
+  using Log = std::vector<std::pair<NodeId, SimTime>>;
+  auto run = [](int shards) {
+    ClusterParams params;
+    params.node_count = 4;
+    params.nodes_per_io_group = 2;
+    params.shards = shards;
+    Cluster cluster(params);
+    Log log;
+    cluster.sts().RegisterHandler(ProtocolId::kPagerControl, 0, [&](NodeId src, Message) {
+      log.emplace_back(src, cluster.engine_for(0).Now());
+    });
+    for (NodeId src : {3, 1}) {
+      cluster.engine_for(src).Schedule(0, [&cluster, src]() {
+        Message msg;
+        msg.protocol = ProtocolId::kPagerControl;
+        cluster.sts().Send(src, 0, std::move(msg));
+      });
+    }
+    cluster.Run();
+    return log;
+  };
+  const Log single = run(1);
+  EXPECT_EQ(single, (Log{{1, 500'700}, {3, 750'700}}));
+  EXPECT_EQ(run(2), single);
 }
 
 }  // namespace

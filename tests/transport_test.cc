@@ -4,20 +4,28 @@
 #include <variant>
 #include <vector>
 
-#include "src/common/stats.h"
-#include "src/mesh/network.h"
-#include "src/sim/engine.h"
+#include "src/dsm/cluster.h"
 #include "src/transport/transport.h"
 
 namespace asvm {
 namespace {
 
+ClusterParams SixteenNodes() {
+  ClusterParams params;
+  params.node_count = 16;
+  return params;
+}
+
+// The transports of a small 4x4 cluster, drained with Cluster::Run: a
+// cross-node send waits in its shard's outbox until the cluster replays it
+// into the fabric.
 class TransportTest : public ::testing::Test {
  protected:
   TransportTest()
-      : network_(engine_, Topology(4, 4), MeshParams{}, &stats_),
-        sts_(engine_, network_, &stats_),
-        norma_(engine_, network_, &stats_) {}
+      : cluster_(SixteenNodes()), sts_(cluster_.sts()), norma_(cluster_.norma()) {}
+
+  SimTime Now() const { return cluster_.Now(); }
+  int64_t Stat(const std::string& name) { return cluster_.stats().Get(name); }
 
   // A minimal typed message: the ping value rides in PullDone::page.
   Message MakeMsg(int value, PageBuffer page = nullptr) {
@@ -33,11 +41,9 @@ class TransportTest : public ::testing::Test {
     return static_cast<int>(std::get<PullDone>(std::get<AsvmBody>(msg.body)).page);
   }
 
-  Engine engine_;
-  StatsRegistry stats_;
-  Network network_;
-  StsTransport sts_;
-  NormaIpc norma_;
+  Cluster cluster_;
+  StsTransport& sts_;
+  NormaIpc& norma_;
 };
 
 TEST_F(TransportTest, DeliversBodyToRegisteredHandler) {
@@ -48,7 +54,7 @@ TEST_F(TransportTest, DeliversBodyToRegisteredHandler) {
     received = PingValue(msg);
   });
   sts_.Send(0, 3, MakeMsg(42));
-  engine_.Run();
+  cluster_.Run();
   EXPECT_EQ(received, 42);
   EXPECT_EQ(from, 0);
 }
@@ -64,7 +70,7 @@ TEST_F(TransportTest, HandlersAreKeyedByProtocolAndNode) {
   msg.body = PagerBody{PagerControlMsg{7}};
   sts_.Send(0, 1, std::move(msg));
   sts_.Send(0, 1, MakeMsg(2));
-  engine_.Run();
+  cluster_.Run();
   EXPECT_EQ(asvm_count, 1);
   EXPECT_EQ(pager_count, 1);
 }
@@ -72,12 +78,12 @@ TEST_F(TransportTest, HandlersAreKeyedByProtocolAndNode) {
 TEST_F(TransportTest, StsIsMuchFasterThanNorma) {
   SimTime sts_done = 0;
   SimTime norma_done = 0;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message) { sts_done = engine_.Now(); });
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message) { sts_done = Now(); });
   norma_.RegisterHandler(ProtocolId::kAsvm, 2,
-                         [&](NodeId, Message) { norma_done = engine_.Now(); });
+                         [&](NodeId, Message) { norma_done = Now(); });
   sts_.Send(0, 1, MakeMsg(1));
   norma_.Send(0, 2, MakeMsg(1));
-  engine_.Run();
+  cluster_.Run();
   EXPECT_GT(norma_done, (18 * sts_done) / 10);
   // Calibration sanity: one STS control message ~0.5 ms, NORMA ~1 ms.
   EXPECT_LT(sts_done, 1 * kMillisecond);
@@ -89,16 +95,16 @@ TEST_F(TransportTest, PagePayloadAddsWireTime) {
   SimTime page_done = 0;
   sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message msg) {
     if (msg.page) {
-      page_done = engine_.Now();
+      page_done = Now();
     } else {
-      small_done = engine_.Now();
+      small_done = Now();
     }
   });
   auto page = std::make_shared<std::vector<std::byte>>(8192);
   // Send from distinct sources so the sends do not serialize on one sender.
   sts_.Send(2, 1, MakeMsg(1));
   sts_.Send(3, 1, MakeMsg(2, page));
-  engine_.Run();
+  cluster_.Run();
   EXPECT_GT(page_done, small_done);
 }
 
@@ -109,10 +115,10 @@ TEST_F(TransportTest, LocalDeliveryBypassesMesh) {
     ++received;
   });
   sts_.Send(5, 5, MakeMsg(9));
-  engine_.Run();
+  cluster_.Run();
   EXPECT_EQ(received, 1);
-  EXPECT_EQ(stats_.Get("mesh.messages"), 0);
-  EXPECT_LE(engine_.Now(), 50 * kMicrosecond);
+  EXPECT_EQ(Stat("mesh.messages"), 0);
+  EXPECT_LE(Now(), 50 * kMicrosecond);
 }
 
 TEST_F(TransportTest, ReceiverSerializesManyToOne) {
@@ -120,11 +126,11 @@ TEST_F(TransportTest, ReceiverSerializesManyToOne) {
   // that throttles a centralized manager.
   std::vector<SimTime> handled;
   sts_.RegisterHandler(ProtocolId::kAsvm, 0,
-                       [&](NodeId, Message) { handled.push_back(engine_.Now()); });
+                       [&](NodeId, Message) { handled.push_back(Now()); });
   for (NodeId src = 1; src <= 6; ++src) {
     sts_.Send(src, 0, MakeMsg(src));
   }
-  engine_.Run();
+  cluster_.Run();
   ASSERT_EQ(handled.size(), 6u);
   for (size_t i = 1; i < handled.size(); ++i) {
     EXPECT_GE(handled[i] - handled[i - 1], StsCosts().recv_sw_ns);
@@ -135,12 +141,12 @@ TEST_F(TransportTest, SenderSerializesFanOut) {
   std::vector<SimTime> handled;
   for (NodeId dst = 1; dst <= 6; ++dst) {
     sts_.RegisterHandler(ProtocolId::kAsvm, dst,
-                         [&](NodeId, Message) { handled.push_back(engine_.Now()); });
+                         [&](NodeId, Message) { handled.push_back(Now()); });
   }
   for (NodeId dst = 1; dst <= 6; ++dst) {
     sts_.Send(0, dst, MakeMsg(dst));
   }
-  engine_.Run();
+  cluster_.Run();
   ASSERT_EQ(handled.size(), 6u);
   // Arrival spacing reflects the sender's software send cost (with a little
   // slack for differing hop distances to each destination).
@@ -155,26 +161,26 @@ TEST_F(TransportTest, StatsTrackPerTransportTraffic) {
   auto page = std::make_shared<std::vector<std::byte>>(8192);
   sts_.Send(0, 1, MakeMsg(1, page));
   norma_.Send(0, 1, MakeMsg(1));
-  engine_.Run();
-  EXPECT_EQ(stats_.Get("transport.sts.messages"), 1);
-  EXPECT_EQ(stats_.Get("transport.sts.page_messages"), 1);
-  EXPECT_EQ(stats_.Get("transport.sts.bytes"), 32 + 8192);
-  EXPECT_EQ(stats_.Get("transport.norma.messages"), 1);
+  cluster_.Run();
+  EXPECT_EQ(Stat("transport.sts.messages"), 1);
+  EXPECT_EQ(Stat("transport.sts.page_messages"), 1);
+  EXPECT_EQ(Stat("transport.sts.bytes"), 32 + 8192);
+  EXPECT_EQ(Stat("transport.norma.messages"), 1);
   // NORMA charges port/typing overhead on the wire.
-  EXPECT_EQ(stats_.Get("transport.norma.bytes"),
+  EXPECT_EQ(Stat("transport.norma.bytes"),
             static_cast<int64_t>(32 + NormaIpcCosts().control_overhead_bytes));
 }
 
 TEST_F(TransportTest, PerTypeCountersAreOptIn) {
   sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {});
   sts_.Send(0, 1, MakeMsg(1));
-  engine_.Run();
-  EXPECT_EQ(stats_.Get("transport.sts.msg.pull_done"), 0);
+  cluster_.Run();
+  EXPECT_EQ(Stat("transport.sts.msg.pull_done"), 0);
   sts_.set_per_type_stats(true);
   sts_.Send(0, 1, MakeMsg(2));
   sts_.Send(0, 1, MakeMsg(3));
-  engine_.Run();
-  EXPECT_EQ(stats_.Get("transport.sts.msg.pull_done"), 2);
+  cluster_.Run();
+  EXPECT_EQ(Stat("transport.sts.msg.pull_done"), 2);
 }
 
 TEST_F(TransportTest, DuplicateHandlerRegistrationAborts) {
@@ -185,7 +191,7 @@ TEST_F(TransportTest, DuplicateHandlerRegistrationAborts) {
 
 TEST_F(TransportTest, UnregisteredHandlerAborts) {
   sts_.Send(0, 1, MakeMsg(1));
-  EXPECT_DEATH(engine_.Run(), "no transport handler");
+  EXPECT_DEATH(cluster_.Run(), "no transport handler");
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST_F(XmmInternalsTest, ManagerRequestsSerializePerPage) {
   for (NodeId n = 1; n < 6; ++n) {
     writes.push_back(harness_->mem(n).WriteU64(0, 100 + static_cast<uint64_t>(n)));
   }
-  cluster_->engine().Run();
+  cluster_->Run();
   for (auto& w : writes) {
     ASSERT_TRUE(w.ready());
   }

@@ -79,7 +79,7 @@ void Usage() {
       "  --stripes=N              file stripes / I/O nodes (default 1)\n"
       "  --no-dynamic             disable dynamic forwarding (ASVM)\n"
       "  --no-static              disable static forwarding (ASVM)\n"
-      "  --trace                  print the machine-wide event trace (ASVM and XMM)\n"
+      "  --trace                  print the machine-wide event trace (ASVM, XMM and IVY)\n"
       "  --trace-json=FILE        write the trace as Chrome trace_event JSON\n"
       "                           (open in Perfetto / chrome://tracing)\n"
       "  --breakdown              per-fault causal breakdown (request/forward/\n"
