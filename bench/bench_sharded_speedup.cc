@@ -6,7 +6,11 @@
 // storm is the opposite shape: half the mesh writes concurrently, each writer
 // to its own region homed across the mesh, every operation in flight before
 // the single drain. That is the workload class sharding exists for, and the
-// one scripts/bench_report.sh gates (>= 1.5x wall clock at 4 shards).
+// one scripts/bench_report.sh gates (>= 1.5x wall clock at 4 shards). One
+// ~0.1 s sample of that ratio is noise on a shared host, so the 1024-node
+// storm runs its shards=1 and shards=4 columns as interleaved pairs and
+// reports the medians: the gated speedup is the median of the per-pair
+// ratios.
 //
 // The storm also recomputes the timeline digest per shard count: the speedup
 // only counts because the sharded timelines are byte-identical to shards=1
@@ -18,6 +22,7 @@
 // their digest identity (wl_<name>.<dsm>.digest_match), while their
 // shards4.speedup columns document where windowed parallelism pays off and
 // where barrier overhead dominates.
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -38,16 +43,25 @@ namespace {
 constexpr size_t kPage = 8192;
 
 // One sweep configuration: every node writes `pages` pages of its own region,
-// homed at the diagonally-opposite node.
+// homed at the diagonally-opposite node. The shards=1 and shards=4 columns
+// come from `pairs` interleaved (shards=1, shards=4) runs; shards=2 and 8
+// run once.
 struct StormShape {
   const char* name;
   int nodes;
   int pages;
+  int pairs;
 };
-// 32x32 is the Figure 10 large mesh; 1792 is the paper's full-machine scale
-// (its Paragon had 1792 usable nodes), run with fewer pages per writer so the
-// sweep stays a smoke, not a soak.
-constexpr StormShape kShapes[] = {{"storm", 1024, 16}, {"storm1792", 1792, 4}};
+// 32x32 is the Figure 10 large mesh, and the gated one; 1792 is the paper's
+// full-machine scale (its Paragon had 1792 usable nodes), run once with fewer
+// pages per writer so the sweep stays a smoke, not a soak.
+constexpr StormShape kShapes[] = {{"storm", 1024, 16, 5}, {"storm1792", 1792, 4, 1}};
+
+// Median of an odd-sized sample.
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
 
 uint64_t Fnv1a(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -136,41 +150,69 @@ void RunSweep(BenchJson& json) {
                 "digest");
     for (DsmKind kind : {DsmKind::kAsvm, DsmKind::kXmm, DsmKind::kIvy}) {
       const char* tag = DsmTag(kind);
-      double base_seconds = 0;
       uint64_t base_digest = 0;
       bool digests_match = true;
-      for (int shards : {1, 2, 4, 8}) {
-        const StormResult r = RunStorm(shape, kind, shards);
-        if (shards == 1) {
-          base_seconds = r.drain_seconds;
-          base_digest = r.digest;
+      // Prints one run; `speedup` is against its own pair's shards=1 run, or
+      // against the shards=1 median for the single-run columns.
+      auto report = [&](int shards, const StormResult& r, double speedup, const char* note) {
+        digests_match = digests_match && r.digest == base_digest;
+        std::printf("%-8s %-8d %14.3f %9.2fx %10s  (%lld windows, %lld replayed)%s\n", tag,
+                    shards, r.drain_seconds, speedup,
+                    r.digest == base_digest ? "match" : "DIVERGED",
+                    static_cast<long long>(r.windows), static_cast<long long>(r.replayed), note);
+      };
+      char name[64];
+      std::vector<double> base_seconds, sharded_seconds, ratios;
+      for (int pair = 0; pair < shape.pairs; ++pair) {
+        const StormResult base = RunStorm(shape, kind, 1);
+        if (pair == 0) {
+          base_digest = base.digest;
           if (kind == DsmKind::kIvy) {
             // Sharding cannot change these (the digest gate proves the
             // timeline is identical), so the shards=1 run speaks for all.
-            char name[64];
             std::snprintf(name, sizeof(name), "%s.ivy.chain_length_max", shape.name);
-            json.Metric(name, r.ivy_chain_max);
+            json.Metric(name, base.ivy_chain_max);
             std::snprintf(name, sizeof(name), "%s.ivy.dropped_forwards", shape.name);
-            json.Metric(name, static_cast<double>(r.ivy_dropped));
+            json.Metric(name, static_cast<double>(base.ivy_dropped));
             std::printf("%-8s chain_length_max=%.0f dropped_forwards=%lld\n", tag,
-                        r.ivy_chain_max, static_cast<long long>(r.ivy_dropped));
+                        base.ivy_chain_max, static_cast<long long>(base.ivy_dropped));
           }
         }
-        digests_match = digests_match && r.digest == base_digest;
-        const double speedup = r.drain_seconds > 0 ? base_seconds / r.drain_seconds : 0;
-        std::printf("%-8s %-8d %14.3f %9.2fx %10s  (%lld windows, %lld replayed)\n", tag,
-                    shards, r.drain_seconds, speedup,
-                    r.digest == base_digest ? "match" : "DIVERGED",
-                    static_cast<long long>(r.windows), static_cast<long long>(r.replayed));
-        char name[64];
+        const StormResult sharded = RunStorm(shape, kind, 4);
+        const double ratio =
+            sharded.drain_seconds > 0 ? base.drain_seconds / sharded.drain_seconds : 0;
+        char note[32] = "";
+        if (shape.pairs > 1) {
+          std::snprintf(note, sizeof(note), "  pair %d/%d", pair + 1, shape.pairs);
+        }
+        report(1, base, 1.0, note);
+        report(4, sharded, ratio, note);
+        base_seconds.push_back(base.drain_seconds);
+        sharded_seconds.push_back(sharded.drain_seconds);
+        ratios.push_back(ratio);
+      }
+      const double base_median = Median(base_seconds);
+      const double sharded_median = Median(sharded_seconds);
+      const double speedup4 = Median(ratios);
+      if (shape.pairs > 1) {
+        std::printf("%-8s %-8s %14.3f %9.2fx %10s  (median of %d pairs; shards=1 %.3f s)\n",
+                    tag, "4 med", sharded_median, speedup4, "", shape.pairs, base_median);
+      }
+      std::snprintf(name, sizeof(name), "%s.%s.shards1.seconds", shape.name, tag);
+      json.Metric(name, base_median);
+      std::snprintf(name, sizeof(name), "%s.%s.shards4.seconds", shape.name, tag);
+      json.Metric(name, sharded_median);
+      std::snprintf(name, sizeof(name), "%s.%s.shards4.speedup", shape.name, tag);
+      json.Metric(name, speedup4);
+      for (int shards : {2, 8}) {
+        const StormResult r = RunStorm(shape, kind, shards);
+        const double speedup = r.drain_seconds > 0 ? base_median / r.drain_seconds : 0;
+        report(shards, r, speedup, "");
         std::snprintf(name, sizeof(name), "%s.%s.shards%d.seconds", shape.name, tag, shards);
         json.Metric(name, r.drain_seconds);
-        if (shards > 1) {
-          std::snprintf(name, sizeof(name), "%s.%s.shards%d.speedup", shape.name, tag, shards);
-          json.Metric(name, speedup);
-        }
+        std::snprintf(name, sizeof(name), "%s.%s.shards%d.speedup", shape.name, tag, shards);
+        json.Metric(name, speedup);
       }
-      char name[64];
       std::snprintf(name, sizeof(name), "%s.%s.digest_match", shape.name, tag);
       json.Metric(name, digests_match ? 1 : 0);
     }

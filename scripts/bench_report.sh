@@ -19,7 +19,8 @@
 #    default 1.5 on the queue-bound shapes).
 #  * bench_sharded_speedup's 32x32 write-fault storm at --shards=1/2/4/8:
 #    the 4-shard run must beat single-threaded by >= --shard-speedup-floor
-#    (default 1.5x) on each DSM.
+#    (default 1.5x) on each DSM. The gated speedup is the median of the
+#    ratios of 5 interleaved (shards=1, shards=4) pairs, not one sample.
 #  * bench_failover's recovery timeline (kill-manager + rolling-restart on
 #    all three DSMs): latencies diff against the baseline like any other
 #    metric, and --check additionally requires exactly one promotion per kill
@@ -152,7 +153,7 @@ for name, entry in speedups.items():
             f"below floor {floor:.2f}x")
 
 # Sharded-core gate: at 4 shards the storm must beat single-threaded by the
-# floor on both DSMs, and every sharded digest — the storm shapes AND the
+# floor on all three DSMs, and every sharded digest — the storm shapes AND the
 # per-workload sweep — must be identical to shards=1 (a fast sharded run with
 # a different timeline is a bug, not a win). The digest gate always applies;
 # the wall-clock floor only makes sense when the host actually has cores to

@@ -173,9 +173,7 @@ void AsvmAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired
     return;  // a request for this page is already in flight
   }
   ps.pending = true;
-  if (stats_ != nullptr) {
-    counters_.data_requests.Add(*stats_, "asvm.data_requests");
-  }
+  counters_.data_requests.Add(stats_, "asvm.data_requests");
   AccessRequest req;
   req.target = id;
   req.search = id;
@@ -193,9 +191,7 @@ void AsvmAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired)
   const MemObjectId id = object.id();
   ObjectState& os = obj_state(id);
   PageState& ps = page_state(os, page);
-  if (stats_ != nullptr) {
-    counters_.data_unlocks.Add(*stats_, "asvm.data_unlocks");
-  }
+  counters_.data_unlocks.Add(stats_, "asvm.data_unlocks");
   if (ps.owner) {
     // Transition 7: the owner upgrades its own access.
     if (!ps.busy) {
@@ -292,9 +288,7 @@ void AsvmAgent::HandleRequest(AccessRequest req) {
       // op). Serving it would hand ownership away and the self-grant would
       // then be dropped as a duplicate, evaporating the page — drop the
       // request instead.
-      if (stats_ != nullptr) {
-        counters_.self_stragglers_dropped.Add(*stats_, "asvm.self_stragglers_dropped");
-      }
+      counters_.self_stragglers_dropped.Add(stats_, "asvm.self_stragglers_dropped");
       return;
     }
     if (ps->busy || ps->held()) {
@@ -335,9 +329,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
   // the terminal, whose authoritative owner record falls back to the global
   // ring — which always terminates.
   if (req.hops > system_.cluster().node_count() + 2) {
-    if (stats_ != nullptr) {
-      counters_.fwd_escalations.Add(*stats_, "asvm.fwd_escalations");
-    }
+    counters_.fwd_escalations.Add(stats_, "asvm.fwd_escalations");
     SendToTerminal(std::move(req));
     return;
   }
@@ -359,9 +351,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
         // Path compression toward the future owner (Li's optimization).
         os.dyn_hints->Put(req.page, req.origin);
       }
-      if (stats_ != nullptr) {
-        counters_.fwd_dynamic.Add(*stats_, "asvm.fwd_dynamic");
-      }
+      counters_.fwd_dynamic.Add(stats_, "asvm.fwd_dynamic");
       Trace(TraceKind::kForwardDynamic, req.search, req.page, target, 0, req.req_id);
       SendRequest(target, req);
       return;
@@ -377,9 +367,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
       return;
     }
     if (mgr != node_) {
-      if (stats_ != nullptr) {
-        counters_.fwd_static.Add(*stats_, "asvm.fwd_static");
-      }
+      counters_.fwd_static.Add(stats_, "asvm.fwd_static");
       Trace(TraceKind::kForwardStatic, req.search, req.page, mgr, 0, req.req_id);
       SendRequest(mgr, req);
       return;
@@ -389,23 +377,17 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
     if (entry != nullptr) {
       if (entry->first == StaticHintKind::kOwner && entry->second != node_ &&
           !NodeDead(entry->second)) {
-        if (stats_ != nullptr) {
-          counters_.fwd_static_hit.Add(*stats_, "asvm.fwd_static_hit");
-        }
+        counters_.fwd_static_hit.Add(stats_, "asvm.fwd_static_hit");
         SendRequest(entry->second, req);
         return;
       }
       if (entry->first == StaticHintKind::kFresh || entry->first == StaticHintKind::kPaged) {
-        if (stats_ != nullptr) {
-          counters_.fwd_static_terminal.Add(*stats_, "asvm.fwd_static_terminal");
-        }
+        counters_.fwd_static_terminal.Add(stats_, "asvm.fwd_static_terminal");
         SendToTerminal(std::move(req));
         return;
       }
     }
-    if (stats_ != nullptr) {
-      counters_.fwd_static_miss.Add(*stats_, "asvm.fwd_static_miss");
-    }
+    counters_.fwd_static_miss.Add(stats_, "asvm.fwd_static_miss");
     SendToTerminal(std::move(req));
     return;
   }
@@ -423,9 +405,7 @@ void AsvmAgent::RouteRequest(AccessRequest req) {
   req.ring = true;
   req.ring_left = static_cast<int>(info.sharing.size());
   req.ring_pos = 0;
-  if (stats_ != nullptr) {
-    counters_.fwd_global_started.Add(*stats_, "asvm.fwd_global_started");
-  }
+  counters_.fwd_global_started.Add(stats_, "asvm.fwd_global_started");
   RingForward(std::move(req));
 }
 
@@ -442,9 +422,7 @@ void AsvmAgent::RingForward(AccessRequest req) {
     if (NodeDead(next)) {
       continue;  // removed sharer: a message there is a black hole
     }
-    if (stats_ != nullptr) {
-      counters_.fwd_global_hop.Add(*stats_, "asvm.fwd_global_hop");
-    }
+    counters_.fwd_global_hop.Add(stats_, "asvm.fwd_global_hop");
     Trace(TraceKind::kForwardGlobal, req.search, req.page, next, 0, req.req_id);
     SendRequest(next, req);
     return;

@@ -54,9 +54,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.ownership = true;
     reply.page_version = 0;
     reply.terminal = req.terminal;
-    if (stats_ != nullptr) {
-      counters_.pull_served_by_owner.Add(*stats_, "asvm.pull_served_by_owner");
-    }
+    counters_.pull_served_by_owner.Add(stats_, "asvm.pull_served_by_owner");
     SendReply(req.origin, reply, ClonePage(vp->data));
     return;
   }
@@ -78,9 +76,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.granted = PageAccess::kRead;
     reply.ownership = false;
     reply.page_version = ps.version;
-    if (stats_ != nullptr) {
-      counters_.read_grants.Add(*stats_, "asvm.read_grants");
-    }
+    counters_.read_grants.Add(stats_, "asvm.read_grants");
     SendReply(req.origin, reply, ClonePage(vp->data));
     return;
   }
@@ -122,12 +118,10 @@ Task AsvmAgent::OwnerGrantWrite(AccessRequest req) {
   reply.ownership = true;
   reply.upgrade = upgrade;
   reply.page_version = ps.version;
-  if (stats_ != nullptr) {
-    if (upgrade) {
-      counters_.write_upgrade_grants.Add(*stats_, "asvm.write_upgrade_grants");
-    } else {
-      counters_.write_grants.Add(*stats_, "asvm.write_grants");
-    }
+  if (upgrade) {
+    counters_.write_upgrade_grants.Add(stats_, "asvm.write_upgrade_grants");
+  } else {
+    counters_.write_grants.Add(stats_, "asvm.write_grants");
   }
   vm_.UnwirePage(*os.repr, req.page);
   SendReply(req.origin, reply, upgrade ? nullptr : ClonePage(pre_write));
@@ -178,9 +172,7 @@ Task AsvmAgent::SelfUpgrade(MemObjectId id, PageIndex page) {
   vm_.LockGranted(*os.repr, page, PageAccess::kWrite);
   ps.access = PageAccess::kWrite;
   ps.busy = false;
-  if (stats_ != nullptr) {
-    counters_.self_upgrades.Add(*stats_, "asvm.self_upgrades");
-  }
+  counters_.self_upgrades.Add(stats_, "asvm.self_upgrades");
   // Serve whatever queued while we were busy.
   std::deque<AccessRequest> queued;
   queued.swap(ps.queue);
@@ -213,9 +205,7 @@ Task AsvmAgent::InvalidateReaders(MemObjectId id, PageIndex page, NodeId except,
   for (NodeId r : targets) {
     Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
     Trace(TraceKind::kInvalidate, id, page, r, 0, op);
-    if (stats_ != nullptr) {
-      counters_.invalidations.Add(*stats_, "asvm.invalidations");
-    }
+    counters_.invalidations.Add(stats_, "asvm.invalidations");
   }
   ArmRound(op, [this, id, page, op](NodeId r) {
     Send(r, AsvmMsgType::kInvalidate, InvalidateMsg{id, page, op});
@@ -249,9 +239,7 @@ void AsvmAgent::OnAccessReply(NodeId src, const AccessReply& reply, PageBuffer d
     // The terminal proved the page was committed and then lost with its home
     // and every replica. The fault fails Status::kDataLost — waking the
     // kernel's waiters with an error, never inventing zeros.
-    if (stats_ != nullptr) {
-      counters_.lost_page_faults.Add(*stats_, "asvm.lost_page_faults");
-    }
+    counters_.lost_page_faults.Add(stats_, "asvm.lost_page_faults");
     if (ArmsRequests()) {
       ResolveOp(reply.req_id, Status::kDataLost);
     }
@@ -270,9 +258,7 @@ void AsvmAgent::OnAccessReply(NodeId src, const AccessReply& reply, PageBuffer d
 
   if (reply.retry) {
     // Push/pull race (§3.7.3): re-issue the request from scratch.
-    if (stats_ != nullptr) {
-      counters_.retries.Add(*stats_, "asvm.retries");
-    }
+    counters_.retries.Add(stats_, "asvm.retries");
     ASVM_CHECK(ps.pending);
     AccessRequest req;
     req.target = reply.target;
@@ -358,9 +344,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
     // Epoch fence: the directory moved this role while the request was in
     // flight (a cascade promoted past us). Re-route through the directory
     // instead of serving with stale authority.
-    if (stats_ != nullptr) {
-      counters_.stale_terminal_reroutes.Add(*stats_, "asvm.stale_terminal_reroutes");
-    }
+    counters_.stale_terminal_reroutes.Add(stats_, "asvm.stale_terminal_reroutes");
     req.to_terminal = false;
     SendToTerminal(std::move(req));
     return;
@@ -394,9 +378,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
         // the request to the attributed owner itself. A true owner drops its
         // own straggler (HandleRequest); a non-owner re-routes it once the
         // in-flight grant or ownership notice has landed.
-        if (stats_ != nullptr) {
-          counters_.owner_is_origin_forwards.Add(*stats_, "asvm.owner_is_origin_forwards");
-        }
+        counters_.owner_is_origin_forwards.Add(stats_, "asvm.owner_is_origin_forwards");
         AccessRequest fwd = req;
         fwd.ring = false;
         fwd.ring_pos = 0;
@@ -415,9 +397,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
       if (req.ring && req.ring_left == 0) {
         // A full ring missed a live owner: a transfer was in flight. Retry
         // the ring after a short delay.
-        if (stats_ != nullptr) {
-          counters_.ring_retries.Add(*stats_, "asvm.ring_retries");
-        }
+        counters_.ring_retries.Add(stats_, "asvm.ring_retries");
         AccessRequest retry = req;
         retry.ring_pos = 0;
         retry.ring_left = static_cast<int>(info.sharing.size());
@@ -478,9 +458,7 @@ void AsvmAgent::SendLostReply(const AccessRequest& req) {
   reply.page = req.page;
   reply.granted = req.access;
   reply.lost = true;
-  if (stats_ != nullptr) {
-    counters_.lost_page_replies.Add(*stats_, "asvm.lost_page_replies");
-  }
+  counters_.lost_page_replies.Add(stats_, "asvm.lost_page_replies");
   Trace(TraceKind::kServeTerminal, req.search, req.page, req.origin, -1, req.req_id);
   SendReply(req.origin, reply, nullptr);
 }
@@ -499,19 +477,13 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
     // fresh paging space has nothing newer.
     data = ClonePage(rp->data);
     version = rp->version;
-    if (stats_ != nullptr) {
-      counters_.recovered_serves.Add(*stats_, "asvm.recovered_serves");
-    }
+    counters_.recovered_serves.Add(stats_, "asvm.recovered_serves");
   } else if (info.backing->HasData(req.page)) {
     data = co_await info.backing->ReadAsync(vm_.engine(), req.page, vm_.page_size());
-    if (stats_ != nullptr) {
-      counters_.backing_reads.Add(*stats_, "asvm.backing_reads");
-    }
+    counters_.backing_reads.Add(stats_, "asvm.backing_reads");
   } else {
     co_await info.backing->GrantFreshAsync(vm_.engine(), req.page);
-    if (stats_ != nullptr) {
-      counters_.fresh_grants.Add(*stats_, "asvm.fresh_grants");
-    }
+    counters_.fresh_grants.Add(stats_, "asvm.fresh_grants");
   }
 
   const bool same_space = req.target == req.search;
@@ -551,9 +523,7 @@ Task AsvmAgent::ServeByPull(AccessRequest req) {
   vm_.PullRequest(*os.repr, req.page,
                   [pull_done](PullResult r) { pull_done.Set(std::move(r)); });
   PullResult result = co_await pull_done.GetFuture();
-  if (stats_ != nullptr) {
-    counters_.peer_pulls.Add(*stats_, "asvm.peer_pulls");
-  }
+  counters_.peer_pulls.Add(stats_, "asvm.peer_pulls");
   Trace(TraceKind::kPull, req.search, req.page, req.origin, 0, req.req_id);
 
   const bool same_space = req.target == req.search;
@@ -607,9 +577,7 @@ Task AsvmAgent::ServeByPull(AccessRequest req) {
       forwarded.search = result.shadow_object;
       forwarded.hops = 0;
       forwarded.ring = false;
-      if (stats_ != nullptr) {
-        counters_.pull_chain_forwards.Add(*stats_, "asvm.pull_chain_forwards");
-      }
+      counters_.pull_chain_forwards.Add(stats_, "asvm.pull_chain_forwards");
       HandleRequest(std::move(forwarded));
       co_return;
     }

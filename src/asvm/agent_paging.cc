@@ -22,9 +22,7 @@ EvictAction AsvmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data
       found->access = PageAccess::kNone;
       PruneState(os, page);
     }
-    if (stats_ != nullptr) {
-      counters_.evict_discards.Add(*stats_, "asvm.evict_discards");
-    }
+    counters_.evict_discards.Add(stats_, "asvm.evict_discards");
     Trace(TraceKind::kEvictStep, id, page, kInvalidNode, 1);
     return EvictAction::kDiscard;
   }
@@ -35,9 +33,7 @@ EvictAction AsvmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data
   // the contents land somewhere else.
   ps.busy = true;
   ps.access = PageAccess::kNone;
-  if (stats_ != nullptr) {
-    counters_.evict_owner.Add(*stats_, "asvm.evict_owner");
-  }
+  counters_.evict_owner.Add(stats_, "asvm.evict_owner");
   (void)EvictionTask(id, page, std::move(data), dirty, ps.version, ps.readers);
   return EvictAction::kTaken;
 }
@@ -72,9 +68,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     Status s = co_await replied;
     if (IsOk(s)) {
       // Accepted: ownership moved without the page contents.
-      if (stats_ != nullptr) {
-        counters_.evict_ownership_transfers.Add(*stats_, "asvm.evict_ownership_transfers");
-      }
+      counters_.evict_ownership_transfers.Add(stats_, "asvm.evict_ownership_transfers");
       Trace(TraceKind::kEvictStep, id, page, r, 2);
       PageState& ps = page_state(os, page);
       ps.owner = false;
@@ -118,9 +112,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     });
     Status s = co_await replied;
     if (IsOk(s)) {
-      if (stats_ != nullptr) {
-        counters_.evict_page_transfers.Add(*stats_, "asvm.evict_page_transfers");
-      }
+      counters_.evict_page_transfers.Add(stats_, "asvm.evict_page_transfers");
       Trace(TraceKind::kEvictStep, id, page, target, 3);
       os.last_pageout_accept = target;
       PageState& ps = page_state(os, page);
@@ -164,14 +156,10 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
         vm_.engine().Post([promoted]() { promoted.Set(Status::kOk); });
       });
       co_await promoted.GetFuture();
-      if (stats_ != nullptr) {
-        system_.failover_counters().reissues.Add(*stats_, kStatReissues);
-      }
+      system_.failover_counters().reissues.Add(stats_, kStatReissues);
       continue;
     }
-    if (stats_ != nullptr) {
-      counters_.evict_writebacks.Add(*stats_, "asvm.evict_writebacks");
-    }
+    counters_.evict_writebacks.Add(stats_, "asvm.evict_writebacks");
     Trace(TraceKind::kEvictStep, id, page, home, 4);
     PageState& ps = page_state(os, page);
     ps.owner = false;
@@ -198,9 +186,7 @@ void AsvmAgent::OnOwnershipOffer(NodeId src, const OwnershipOffer& m) {
     ps.owner = true;
     ps.version = m.page_version;
     ps.readers = m.readers;
-    if (stats_ != nullptr) {
-      counters_.ownership_offers_accepted.Add(*stats_, "asvm.ownership_offers_accepted");
-    }
+    counters_.ownership_offers_accepted.Add(stats_, "asvm.ownership_offers_accepted");
   }
   Send(src, AsvmMsgType::kOwnershipOfferReply, OfferReply{m.object, m.page, have_copy, m.op_id});
 }
@@ -222,11 +208,9 @@ void AsvmAgent::OnPageoutOffer(NodeId src, const PageoutOffer& m, PageBuffer dat
     ps.access = PageAccess::kRead;
     ps.version = m.page_version;
     ps.readers.clear();
-    if (stats_ != nullptr) {
-      counters_.pageout_offers_accepted.Add(*stats_, "asvm.pageout_offers_accepted");
-    }
-  } else if (stats_ != nullptr) {
-    counters_.pageout_offers_declined.Add(*stats_, "asvm.pageout_offers_declined");
+    counters_.pageout_offers_accepted.Add(stats_, "asvm.pageout_offers_accepted");
+  } else {
+    counters_.pageout_offers_declined.Add(stats_, "asvm.pageout_offers_declined");
   }
   Send(src, AsvmMsgType::kPageoutOfferReply, OfferReply{m.object, m.page, accept, m.op_id});
 }
@@ -298,9 +282,7 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
   }
   const uint64_t target_version = info.object_version;
   const AsvmObjectInfo& copy_info = system_.info(info.newest_copy);
-  if (stats_ != nullptr) {
-    counters_.push_operations.Add(*stats_, "asvm.push_operations");
-  }
+  counters_.push_operations.Add(stats_, "asvm.push_operations");
   Trace(TraceKind::kPush, id, page);
 
   // Push scan: if the copy object is shared, the page may already exist in
@@ -316,16 +298,12 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
     scan.req_id = system_.NextOpId(node_);
     Promise<bool> found(vm_.engine());
     scan_waiters_.emplace(scan.req_id, found);
-    if (stats_ != nullptr) {
-      counters_.push_scans.Add(*stats_, "asvm.push_scans");
-    }
+    counters_.push_scans.Add(stats_, "asvm.push_scans");
     Trace(TraceKind::kPushScan, info.newest_copy, page);
     HandleRequest(std::move(scan));
     const bool present = co_await found.GetFuture();
     if (present) {
-      if (stats_ != nullptr) {
-        counters_.push_cancelled_by_scan.Add(*stats_, "asvm.push_cancelled_by_scan");
-      }
+      counters_.push_cancelled_by_scan.Add(stats_, "asvm.push_cancelled_by_scan");
       new_version.Set(target_version);
       co_return;
     }
@@ -608,9 +586,7 @@ void AsvmAgent::OnInvalidate(NodeId src, const InvalidateMsg& m) {
     inv_ps->access = PageAccess::kNone;
     PruneState(os, m.page);
   }
-  if (stats_ != nullptr) {
-    counters_.invalidations_received.Add(*stats_, "asvm.invalidations_received");
-  }
+  counters_.invalidations_received.Add(stats_, "asvm.invalidations_received");
   Send(src, AsvmMsgType::kInvalidateAck, OfferReply{m.object, m.page, true, m.op_id});
 }
 

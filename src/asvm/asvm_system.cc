@@ -359,9 +359,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
 
   // Owner-death reconstruction: a moved page with no surviving owner may
   // still live on as untracked read copies (its owner died holding the reader
-  // list). Harvest the newest surviving copy into the new terminal's
-  // recovered overlay, then drop the survivors' copies — no owner tracks them
-  // anymore, so a future writer could never invalidate them. A harvested copy
+  // list); harvest the newest into the new terminal. A harvested copy
   // postdates any shadowed writeback, so this pass runs before the fold.
   if (!obj.file_backed) {
     for (PageIndex p = 0; p < static_cast<PageIndex>(obj.pages); ++p) {
@@ -372,40 +370,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
       if (const auto* hp = hs.home_pages.Find(p); hp != nullptr && hp->owner_exists) {
         continue;
       }
-      PageBuffer best;
-      uint64_t best_version = 0;
-      for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-        if (!plan->NodeAlive(n, now)) {
-          continue;
-        }
-        AsvmAgent::ObjectState* ros = agent(n).FindObjState(id);
-        if (ros == nullptr || ros->repr == nullptr) {
-          continue;
-        }
-        AsvmAgent::PageState* ps = ros->pages.Find(p);
-        if (ps == nullptr || ps->owner || ps->busy || ps->held() ||
-            ps->access == PageAccess::kNone) {
-          continue;
-        }
-        VmPage* vp = ros->repr->FindResident(p);
-        if (vp == nullptr) {
-          continue;
-        }
-        if (best == nullptr || ps->version > best_version) {
-          best_version = ps->version;
-          best = ClonePage(vp->data);
-        }
-        cluster_.vm(n).RemovePage(*ros->repr, p);
-        ps->access = PageAccess::kNone;
-        agent(n).PruneState(*ros, p);
-      }
-      if (best != nullptr) {
-        auto& rp = hs.recovered.GetOrCreate(p);
-        rp.data = std::move(best);
-        rp.version = best_version;
-        hs.home_pages.GetOrCreate(p).version = best_version;
-        cluster_.stats().Add(kStatReconstructedPages);
-      }
+      HarvestReadCopy(id, p, obj.Terminal(p));
     }
   }
 
@@ -614,9 +579,12 @@ void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {
   if (obj.file_backed) {
     return;  // external storage already holds the last writeback
   }
-  // Owner-death reconstruction: harvest the newest surviving read copy into
-  // the recovered overlay, then drop the survivors' copies — untracked by any
-  // owner, a future writer could never invalidate them.
+  HarvestReadCopy(id, page, term);
+}
+
+void AsvmSystem::HarvestReadCopy(const MemObjectId& id, PageIndex page, NodeId terminal) {
+  FaultPlan* plan = cluster_.fault_plan();
+  const SimTime now = cluster_.Now();
   PageBuffer best;
   uint64_t best_version = 0;
   for (NodeId n = 0; n < cluster_.node_count(); ++n) {
@@ -645,10 +613,11 @@ void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {
     agent(n).PruneState(*ros, page);
   }
   if (best != nullptr) {
-    auto& rp = os->recovered.GetOrCreate(page);
+    AsvmAgent::ObjectState& hs = agent(terminal).obj_state(id);
+    auto& rp = hs.recovered.GetOrCreate(page);
     rp.data = std::move(best);
     rp.version = best_version;
-    hp->version = best_version;
+    hs.home_pages.GetOrCreate(page).version = best_version;
     cluster_.stats().Add(kStatReconstructedPages);
   }
 }

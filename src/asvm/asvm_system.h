@@ -193,6 +193,14 @@ class AsvmSystem : public DsmSystem {
 
   ProtocolAgent& protocol_agent(NodeId node) override;
 
+  // Owner-death reconstruction, shared by promotion and lease reclaim: clones
+  // the highest-version read copy of (`id`, `page`) that an alive non-owner
+  // still holds into the recovered overlay of the page's terminal node
+  // `terminal`, and drops every such survivor's copy — no owner tracks them
+  // anymore, so a future writer could never invalidate them. Must run as a
+  // cluster mutation.
+  void HarvestReadCopy(const MemObjectId& id, PageIndex page, NodeId terminal);
+
   // Keys for anonymous backing in the home's paging space; the high bit keeps
   // them disjoint from local VM object serials.
   uint64_t NextBackingKey() { return (1ULL << 63) | next_backing_key_++; }

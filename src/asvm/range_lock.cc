@@ -20,9 +20,7 @@ bool AsvmAgent::TryHoldPage(const MemObjectId& id, PageIndex page) {
   if (ps.hold_count++ == 0) {
     ASVM_CHECK(os.repr != nullptr);
     vm_.WirePage(*os.repr, page);
-    if (stats_ != nullptr) {
-      counters_.range_lock_holds.Add(*stats_, "asvm.range_lock_holds");
-    }
+    counters_.range_lock_holds.Add(stats_, "asvm.range_lock_holds");
   }
   return true;
 }

@@ -1,6 +1,8 @@
-// Statistics collection: named counters and latency histograms. Every protocol
-// module records into a StatsRegistry owned by the Machine so experiments can
-// report message counts, bytes moved, disk operations and fault latencies.
+// Statistics collection: named counters and latency histograms. The Cluster
+// owns one StatsRegistry, and every layer that records into it (VM, pagers,
+// disks, mesh, fault plan, transports, protocol agents) takes it as a
+// constructor reference, so experiments can report message counts, bytes
+// moved, disk operations and fault latencies.
 //
 // Cost: a string Add builds the name, takes the registry mutex and looks the
 // name up in a map. That is fine on cold paths and for names built at run
@@ -90,10 +92,13 @@ class StatsRegistry {
 // One counter of a StatsRegistry, looked up by name on the handle's first Add
 // and reached through a cached pointer after that. Binding on the first Add,
 // not at construction, keeps the counter out of counters() and Report() until
-// an event counts, exactly as a string Add would. A handle serves one
-// (registry, name) pair for life: every call site that shares a handle must
-// pass the same registry and name. Shard threads may share a handle: racing
-// first Adds resolve the same map node, so whichever store lands wins.
+// an event counts, exactly as a string Add would. (Counters that must report
+// zero before anything counts are registered with Counter() instead, as each
+// Transport does for its message, byte and page-message totals.) A handle
+// serves one (registry, name) pair for life: every call site that shares a
+// handle must pass the same registry and name. Shard threads may share a
+// handle: racing first Adds resolve the same map node, so whichever store
+// lands wins.
 class CounterHandle {
  public:
   // Adds `delta` to the counter `name` of `stats`. `name` is a string, or a

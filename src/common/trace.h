@@ -128,9 +128,9 @@ class ProtocolMonitor {
 };
 
 // Stable indirection the emitting layers hold: the Cluster owns one TraceSink
-// and every subsystem keeps a pointer to it, so a monitor can be attached or
-// detached at any time without re-wiring. Emission with no monitor attached
-// is one branch.
+// and every layer that emits takes it as a constructor reference, so a
+// monitor can be attached or detached at any time without re-wiring.
+// Emission with no monitor attached is one branch.
 //
 // Thread safety: sharded runs emit from several shard threads; the mutex
 // serializes monitor delivery and the per-node sequence stamping. Emission

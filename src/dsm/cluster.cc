@@ -40,17 +40,14 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   Engine& root = engine();
 
   network_ = std::make_unique<Network>(Topology::ForNodeCount(params_.node_count), params_.mesh,
-                                       &stats_);
-  sts_ = std::make_unique<StsTransport>(*engines_, outboxes_, &stats_);
-  sts_ctl_ = std::make_unique<StsCtlTransport>(*engines_, outboxes_, &stats_);
-  norma_ = std::make_unique<NormaIpc>(*engines_, outboxes_, &stats_);
-  network_->set_trace(&trace_sink_);
-  sts_->set_trace(&trace_sink_);
-  sts_ctl_->set_trace(&trace_sink_);
-  norma_->set_trace(&trace_sink_);
+                                       stats_, trace_sink_);
+  sts_ = std::make_unique<Transport>(*engines_, outboxes_, "sts", StsCosts(), stats_, trace_sink_);
+  sts_ctl_ = std::make_unique<Transport>(*engines_, outboxes_, "sts_ctl", StsCtlCosts(), stats_,
+                                         trace_sink_);
+  norma_ = std::make_unique<Transport>(*engines_, outboxes_, "norma", NormaIpcCosts(), stats_,
+                                       trace_sink_);
   if (!params_.fault.Empty()) {
-    fault_plan_ = std::make_unique<FaultPlan>(root, params_.fault, params_.node_count,
-                                              &stats_);
+    fault_plan_ = std::make_unique<FaultPlan>(root, params_.fault, params_.node_count, stats_);
     network_->set_fault_plan(fault_plan_.get());
     sts_->set_fault_plan(fault_plan_.get());
     sts_ctl_->set_fault_plan(fault_plan_.get());
@@ -85,14 +82,14 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   // Cluster mutations ride the same conservative bound as cross-shard
   // messages: enqueued at t, applied at t + lookahead, when every engine is
   // provably quiescent at the apply time.
-  mutator_ = std::make_unique<ClusterMutator>(*engines_, lookahead_, &stats_);
+  mutator_ = std::make_unique<ClusterMutator>(*engines_, lookahead_, stats_);
 
   const int groups = (params_.node_count + params_.nodes_per_io_group - 1) /
                      params_.nodes_per_io_group;
   for (int g = 0; g < groups; ++g) {
-    Engine& group_engine = engine_for(g * params_.nodes_per_io_group);
-    disks_.push_back(std::make_unique<Disk>(group_engine, params_.disk, &stats_));
-    disks_.back()->set_trace(&trace_sink_, g * params_.nodes_per_io_group);
+    const NodeId leader = g * params_.nodes_per_io_group;
+    disks_.push_back(std::make_unique<Disk>(engine_for(leader), leader, params_.disk, stats_,
+                                            trace_sink_));
   }
   // Dedicated spindles for the mapped file system, so file traffic and paging
   // traffic do not artificially serialize in single-group configurations.
@@ -100,18 +97,17 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   const int pagers = std::max(1, std::min(params_.file_pager_count, params_.node_count));
   for (int i = 0; i < pagers; ++i) {
     Engine& pager_engine = engine_for(i);
-    file_disks_.push_back(std::make_unique<Disk>(pager_engine, params_.disk, &stats_));
-    file_disks_.back()->set_trace(&trace_sink_, i);
+    file_disks_.push_back(
+        std::make_unique<Disk>(pager_engine, i, params_.disk, stats_, trace_sink_));
     file_pagers_.push_back(std::make_unique<FilePager>(
-        pager_engine, /*io_node=*/i, file_disks_.back().get(), params_.file_pager, &stats_));
+        pager_engine, /*io_node=*/i, file_disks_.back().get(), params_.file_pager, stats_));
   }
 
   nodes_.resize(params_.node_count);
   for (NodeId n = 0; n < params_.node_count; ++n) {
     Engine& node_engine = engine_for(n);
-    nodes_[n].vm = std::make_unique<NodeVm>(node_engine, n, params_.vm, &stats_);
-    nodes_[n].default_pager = std::make_unique<DefaultPager>(
-        node_engine, &paging_disk(n), &stats_);
+    nodes_[n].vm = std::make_unique<NodeVm>(node_engine, n, params_.vm, stats_);
+    nodes_[n].default_pager = std::make_unique<DefaultPager>(node_engine, &paging_disk(n), stats_);
     nodes_[n].vm->SetDefaultPager(nodes_[n].default_pager.get());
   }
 

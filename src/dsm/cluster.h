@@ -142,18 +142,18 @@ class Cluster {
   // cost every message pays.
   void EnablePerTypeMessageStats();
 
-  // Machine-wide observability: every layer (both DSM agents, the transports,
+  // Machine-wide observability: every layer (the DSM agents, the transports,
   // the mesh fabric, the disks) emits TraceEvents into this one sink. With no
-  // monitor attached emission is a single null check, so timelines are
+  // monitor attached emission is a single branch, so timelines are
   // bit-identical to an unmonitored run.
   void AttachMonitor(ProtocolMonitor* monitor) { trace_sink_.monitor = monitor; }
   ProtocolMonitor* monitor() const { return trace_sink_.monitor; }
   TraceSink& trace_sink() { return trace_sink_; }
 
   Network& network() { return *network_; }
-  StsTransport& sts() { return *sts_; }
-  StsCtlTransport& sts_ctl() { return *sts_ctl_; }
-  NormaIpc& norma() { return *norma_; }
+  Transport& sts() { return *sts_; }
+  Transport& sts_ctl() { return *sts_ctl_; }
+  Transport& norma() { return *norma_; }
   FaultPlan* fault_plan() { return fault_plan_.get(); }  // null when faults are off
 
   NodeVm& vm(NodeId node) { return *nodes_.at(node).vm; }
@@ -212,9 +212,6 @@ class Cluster {
   // pending, or simulated time would pass `until`. Returns true if the
   // machine drained.
   bool DrainSharded(SimTime until);
-  // Minimum cross-shard latency: no event at time t can cause an event on
-  // another shard before t + lookahead.
-  SimDuration Lookahead() const { return lookahead_; }
 
   ClusterParams params_;
   std::unique_ptr<ShardedEngine> engines_;
@@ -239,9 +236,9 @@ class Cluster {
   TraceSink trace_sink_;  // must outlive everything that emits into it
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<Network> network_;
-  std::unique_ptr<StsTransport> sts_;
-  std::unique_ptr<StsCtlTransport> sts_ctl_;
-  std::unique_ptr<NormaIpc> norma_;
+  std::unique_ptr<Transport> sts_;
+  std::unique_ptr<Transport> sts_ctl_;
+  std::unique_ptr<Transport> norma_;
   std::vector<std::unique_ptr<Disk>> disks_;  // one per I/O group
   std::vector<std::unique_ptr<Disk>> file_disks_;
   std::vector<std::unique_ptr<FilePager>> file_pagers_;

@@ -6,8 +6,7 @@
 
 namespace asvm {
 
-ClusterMutator::ClusterMutator(ShardedEngine& engines, SimDuration latency,
-                               StatsRegistry* stats)
+ClusterMutator::ClusterMutator(ShardedEngine& engines, SimDuration latency, StatsRegistry& stats)
     : engines_(engines), latency_(latency), stats_(stats) {
   ASVM_CHECK_MSG(latency_ >= 1, "mutation latency collapsed to zero");
   outboxes_.resize(static_cast<size_t>(engines.shard_count()));
@@ -39,7 +38,7 @@ void ClusterMutator::ApplyAt(SimTime when) {
     }
     Pending p = std::move(const_cast<Pending&>(heap_.top()));
     heap_.pop();
-    stats_->Add("sim.mutations_applied");
+    stats_.Add("sim.mutations_applied");
     p.fn();
   }
 }

@@ -38,7 +38,7 @@ class ClusterMutator {
  public:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
-  ClusterMutator(ShardedEngine& engines, SimDuration latency, StatsRegistry* stats);
+  ClusterMutator(ShardedEngine& engines, SimDuration latency, StatsRegistry& stats);
 
   ClusterMutator(const ClusterMutator&) = delete;
   ClusterMutator& operator=(const ClusterMutator&) = delete;
@@ -111,7 +111,7 @@ class ClusterMutator {
 
   ShardedEngine& engines_;
   SimDuration latency_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   // Only shard i's thread (or the quiescent driver) appends to outboxes_[i];
   // the coordinator drains them between windows — the same single-writer
   // discipline as the mesh mailbox. seq_ is per origin node: one origin's

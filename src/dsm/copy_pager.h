@@ -152,9 +152,7 @@ class InternalCopyPager {
 
   // Counts `<system name><suffix>`, e.g. xmm.copy_faults.
   void Count(CounterHandle& counter, const char* suffix) {
-    if (agent_.stats_ != nullptr) {
-      counter.Add(*agent_.stats_, [&] { return std::string(agent_.system_.name()) + suffix; });
-    }
+    counter.Add(agent_.stats_, [&] { return std::string(agent_.system_.name()) + suffix; });
   }
 
   Agent& agent_;

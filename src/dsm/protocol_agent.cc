@@ -11,13 +11,13 @@ namespace asvm {
 
 ProtocolAgent::ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_protocol)
     : node_(node),
-      stats_(&dsm.cluster().stats()),
+      stats_(dsm.cluster().stats()),
       failover_(dsm.cluster().params().failover),
       dsm_(dsm),
       engine_(dsm.cluster().engine_for(node)),
       system_name_(dsm.name()),
       retry_(dsm.cluster().params().retry),
-      trace_(&dsm.cluster().trace_sink()),
+      trace_(dsm.cluster().trace_sink()),
       trace_protocol_(trace_protocol) {
   // A delivered request id must be remembered for as long as its initiator
   // may still resend it. The last retry fires after the sum of every armed
@@ -172,9 +172,7 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
   PendingOp& op = *it->second;
   if (op.attempts < retry_.max_retries && op.resend) {
     ++op.attempts;
-    if (stats_ != nullptr) {
-      op_counters_.op_retries.Add(*stats_, "dsm.op_retries");
-    }
+    op_counters_.op_retries.Add(stats_, "dsm.op_retries");
     const SimDuration next_deadline = RetryDelay(op.attempts);
     Trace(TraceKind::kRetry, op.object, op.page, kInvalidNode, next_deadline, op_id);
     op.resend();
@@ -208,12 +206,10 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
       dead_targets.clear();
     }
   }
-  if (stats_ != nullptr) {
-    if (status == Status::kNodeDown) {
-      op_counters_.op_node_down.Add(*stats_, "dsm.op_node_down");
-    } else {
-      op_counters_.op_timeouts.Add(*stats_, "dsm.op_timeouts");
-    }
+  if (status == Status::kNodeDown) {
+    op_counters_.op_node_down.Add(stats_, "dsm.op_node_down");
+  } else {
+    op_counters_.op_timeouts.Add(stats_, "dsm.op_timeouts");
   }
   Trace(status == Status::kNodeDown ? TraceKind::kFailover : TraceKind::kTimeout, op.object,
         op.page, kInvalidNode, op.attempts, op_id);
@@ -268,9 +264,7 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
     if (!any_unanswered || !all_unanswered_dead) {
       continue;
     }
-    if (stats_ != nullptr) {
-      op_counters_.op_node_down.Add(*stats_, "dsm.op_node_down");
-    }
+    op_counters_.op_node_down.Add(stats_, "dsm.op_node_down");
     Trace(TraceKind::kFailover, op.object, op.page, kInvalidNode, op.attempts, id);
     auto on_fail = std::move(op.on_fail);
     it->second->done.Set(Status::kNodeDown);
@@ -336,9 +330,7 @@ void ProtocolAgent::ReissueAfter(std::function<void()> repair, std::function<voi
                                            reissue = std::move(reissue)]() {
     repair();
     engine_.Post([this, reissue]() {
-      if (stats_ != nullptr) {
-        dsm_.failover_counters().reissues.Add(*stats_, kStatReissues);
-      }
+      dsm_.failover_counters().reissues.Add(stats_, kStatReissues);
       reissue();
     });
   });
@@ -368,14 +360,12 @@ bool ProtocolAgent::DuplicateDelivery(uint64_t op_id) {
 }
 
 void ProtocolAgent::CountDuplicate() {
-  if (stats_ != nullptr) {
-    op_counters_.duplicates_suppressed.Add(*stats_, "dsm.duplicates_suppressed");
-  }
+  op_counters_.duplicates_suppressed.Add(stats_, "dsm.duplicates_suppressed");
 }
 
 void ProtocolAgent::Trace(TraceKind kind, const MemObjectId& object, PageIndex page,
                           NodeId peer, int64_t aux, uint64_t op) {
-  if (!trace_->enabled()) {
+  if (!trace_.enabled()) {
     return;
   }
   TraceEvent e;
@@ -388,7 +378,7 @@ void ProtocolAgent::Trace(TraceKind kind, const MemObjectId& object, PageIndex p
   e.peer = peer;
   e.aux = aux;
   e.op = op;
-  trace_->Emit(e);
+  trace_.Emit(e);
 }
 
 bool ProtocolAgent::DescribeStall(std::string& out) const {

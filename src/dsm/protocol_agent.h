@@ -176,7 +176,7 @@ class ProtocolAgent {
   virtual void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) = 0;
 
   // Emits a protocol event into the machine-wide trace sink, stamped with this
-  // agent's node and protocol tag. One null check when no monitor is attached;
+  // agent's node and protocol tag. One branch when no monitor is attached;
   // never schedules events, so timelines are identical traced or not.
   void Trace(TraceKind kind, const MemObjectId& object, PageIndex page,
              NodeId peer = kInvalidNode, int64_t aux = 0, uint64_t op = 0);
@@ -197,7 +197,7 @@ class ProtocolAgent {
   Engine& engine() { return engine_; }
 
   NodeId node_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   FailoverConfig failover_;
 
  private:
@@ -214,7 +214,7 @@ class ProtocolAgent {
   } op_counters_;
   std::string system_name_;  // for stall reports ("asvm node 3: ...")
   RetryPolicy retry_;
-  TraceSink* trace_;  // the cluster's machine-wide sink (never null)
+  TraceSink& trace_;  // the cluster's machine-wide sink
   TraceProtocol trace_protocol_;
   std::unordered_map<uint64_t, std::unique_ptr<PendingOp>> pending_ops_;
   // Delivered request op ids, remembered until no retry of the op can still be

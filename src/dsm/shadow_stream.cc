@@ -30,9 +30,7 @@ void ShadowStream::MirrorToBackup(NodeId primary, const MemObjectId& id, PageInd
     target_ = backup;
     ledger_[id][page] = Page{version, ClonePage(data)};
   }
-  if (agent_.stats_ != nullptr) {
-    agent_.dsm_.failover_counters().shadow_updates.Add(*agent_.stats_, kStatShadowUpdates);
-  }
+  agent_.dsm_.failover_counters().shadow_updates.Add(agent_.stats_, kStatShadowUpdates);
   if (backup == agent_.node()) {
     // We are the primary's backup ourselves (eviction redirect): no wire hop.
     backup_[id][page] = Page{version, ClonePage(data)};
@@ -60,10 +58,7 @@ void ShadowStream::SendShadowManifest(const MemObjectId& id, PageIndex page, uin
 void ShadowStream::ReplayShadowLedger(NodeId backup) {
   for (auto& [id, pages] : ledger_) {
     for (auto& [page, sp] : pages) {
-      if (agent_.stats_ != nullptr) {
-        agent_.dsm_.failover_counters().shadow_restreams.Add(*agent_.stats_,
-                                                             kStatShadowRestreams);
-      }
+      agent_.dsm_.failover_counters().shadow_restreams.Add(agent_.stats_, kStatShadowRestreams);
       agent_.SendShadow(backup, /*manifest=*/false, ShadowUpdate{id, page, sp.version},
                         ClonePage(sp.data));
       SendShadowManifest(id, page, sp.version, backup);

@@ -56,8 +56,6 @@ class Em3dGraph {
   VmSize region_pages() const { return region_pages_; }
   size_t page_size() const { return page_size_; }
 
-  int64_t EPerNode() const { return e_per_node_; }
-
   // Address of a cell's value (8 bytes) in the shared region.
   VmOffset EAddr(int64_t e_index) const;
   VmOffset HAddr(int64_t h_index) const;

@@ -118,16 +118,12 @@ bool IvyAgent::DescribeStall(std::string& out) const {
 // --- Pager upcalls ----------------------------------------------------------
 
 void IvyAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired) {
-  if (stats_ != nullptr) {
-    counters_.data_requests.Add(*stats_, "ivy.data_requests");
-  }
+  counters_.data_requests.Add(stats_, "ivy.data_requests");
   SendRequest(object.id(), page, desired, /*has_copy=*/false);
 }
 
 void IvyAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) {
-  if (stats_ != nullptr) {
-    counters_.data_unlocks.Add(*stats_, "ivy.data_unlocks");
-  }
+  counters_.data_unlocks.Add(stats_, "ivy.data_unlocks");
   SendRequest(object.id(), page, desired, /*has_copy=*/true);
 }
 
@@ -142,9 +138,7 @@ void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
   if (Owns(id, page)) {
     // The faulting node is the owner: no wire traffic at all — the property
     // the paper credits dynamic ownership for on write-heavy sharing.
-    if (stats_ != nullptr) {
-      counters_.local_serves.Add(*stats_, "dsm.ivy.local_serves");
-    }
+    counters_.local_serves.Add(stats_, "dsm.ivy.local_serves");
     Trace(TraceKind::kIvyRequest, id, page, node_, static_cast<int64_t>(access));
     OwnerHandle(std::move(req));
     return;
@@ -160,9 +154,7 @@ void IvyAgent::SendRequest(const MemObjectId& id, PageIndex page, PageAccess acc
   // there and the eventual reply resolves the live op instead of being
   // dropped as a straggler — which would lose a granted transfer and loop.
   req.op_id = reuse_op != 0 ? reuse_op : system_.NextOpId(node_);
-  if (stats_ != nullptr) {
-    counters_.requests.Add(*stats_, "dsm.ivy.requests");
-  }
+  counters_.requests.Add(stats_, "dsm.ivy.requests");
   Trace(TraceKind::kIvyRequest, id, page, target, static_cast<int64_t>(access), req.op_id);
   if (ArmsRequests()) {
     // Arm a pending op on the request itself so owner silence is detected.
@@ -209,9 +201,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
     co_return;
   }
   if (req.hops >= MaxHops(system_.cluster().node_count())) {
-    if (stats_ != nullptr) {
-      counters_.dropped_forwards.Add(*stats_, "dsm.ivy.dropped_forwards");
-    }
+    counters_.dropped_forwards.Add(stats_, "dsm.ivy.dropped_forwards");
     co_return;
   }
   ObjState& os = obj_state(req.object);
@@ -222,9 +212,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
     // at each other). Park the request behind our fault; the grant names the
     // true owner (or makes us the owner) and DrainParked re-routes it.
     os.parked[req.page].push_back(std::move(req));
-    if (stats_ != nullptr) {
-      counters_.parked_requests.Add(*stats_, "dsm.ivy.parked_requests");
-    }
+    counters_.parked_requests.Add(stats_, "dsm.ivy.parked_requests");
     co_return;
   }
   NodeId next = HintFor(req.object, req.page);
@@ -233,9 +221,7 @@ Task IvyAgent::ForwardTask(IvyRequest req) {
     next = system_.info(req.object).home;
   }
   ++req.hops;
-  if (stats_ != nullptr) {
-    counters_.forwards.Add(*stats_, "dsm.ivy.forwards");
-  }
+  counters_.forwards.Add(stats_, "dsm.ivy.forwards");
   Trace(TraceKind::kIvyForward, req.object, req.page, next, req.hops, req.op_id);
   if (req.access == PageAccess::kWrite) {
     // The requester is about to become the owner: compress this node's chain
@@ -303,10 +289,8 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
   if (st == nullptr) {
     co_return;  // reclaimed away (buried or cold-restarted) while parked
   }
-  if (stats_ != nullptr) {
-    counters_.owner_requests.Add(*stats_, "dsm.ivy.owner_requests");
-    stats_->Observe("dsm.ivy.chain_length", static_cast<double>(req.hops));
-  }
+  counters_.owner_requests.Add(stats_, "dsm.ivy.owner_requests");
+  stats_.Observe("dsm.ivy.chain_length", static_cast<double>(req.hops));
   Trace(TraceKind::kIvyServe, id, req.page, req.origin, req.hops, req.op_id);
 
   if (st->lost) {
@@ -315,9 +299,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
     IvyReply reply{id,    req.page,           req.access, /*zero_fill=*/false,
                    false, /*ownership=*/false, node_,      req.op_id,
                    /*lost=*/true};
-    if (stats_ != nullptr) {
-      counters_.lost_page_replies.Add(*stats_, "dsm.ivy.lost_page_replies");
-    }
+    counters_.lost_page_replies.Add(stats_, "dsm.ivy.lost_page_replies");
     DeliverReply(req, reply, nullptr);
     FinishServe(id, req.page);
     co_return;
@@ -345,9 +327,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       Future<Status> acked = OpFuture(op);
       for (NodeId r : targets) {
         Trace(TraceKind::kIvyInvalidate, id, req.page, r, 0, op);
-        if (stats_ != nullptr) {
-          counters_.invalidations.Add(*stats_, "dsm.ivy.invalidations");
-        }
+        counters_.invalidations.Add(stats_, "dsm.ivy.invalidations");
         Send(r, IvyMsgType::kInvalidate, IvyInvalidate{id, req.page, new_owner, op});
       }
       ArmRound(op, [this, id, page = req.page, new_owner, op](NodeId r) {
@@ -366,9 +346,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       // Already the owner: upgrade or first-touch supply in place.
       if (upgrade) {
         vm_.LockGranted(*repr, req.page, PageAccess::kWrite);
-        if (stats_ != nullptr) {
-          counters_.self_upgrades.Add(*stats_, "dsm.ivy.self_upgrades");
-        }
+        counters_.self_upgrades.Add(stats_, "dsm.ivy.self_upgrades");
         Trace(TraceKind::kIvyGrant, id, req.page, node_,
               static_cast<int64_t>(PageAccess::kWrite), req.op_id);
         if (req.op_id != 0 && FindOp(req.op_id) != nullptr) {
@@ -403,9 +381,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
       st->pager_copy = nullptr;
       IvyReply reply{id,    req.page, PageAccess::kWrite, zero_fill,
                      false, /*ownership=*/false, node_, req.op_id, false};
-      if (stats_ != nullptr) {
-        counters_.write_grants.Add(*stats_, "dsm.ivy.write_grants");
-      }
+      counters_.write_grants.Add(stats_, "dsm.ivy.write_grants");
       DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
       FinishServe(id, req.page);
       co_return;
@@ -458,14 +434,12 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
                    req.origin,
                    req.op_id,
                    false};
-    if (stats_ != nullptr) {
-      if (upgrade) {
-        counters_.write_upgrade_grants.Add(*stats_, "dsm.ivy.write_upgrade_grants");
-      } else {
-        counters_.write_grants.Add(*stats_, "dsm.ivy.write_grants");
-      }
-      counters_.ownership_moves.Add(*stats_, "dsm.ivy.ownership_moves");
+    if (upgrade) {
+      counters_.write_upgrade_grants.Add(stats_, "dsm.ivy.write_upgrade_grants");
+    } else {
+      counters_.write_grants.Add(stats_, "dsm.ivy.write_grants");
     }
+    counters_.ownership_moves.Add(stats_, "dsm.ivy.ownership_moves");
     Trace(TraceKind::kOwnershipMoved, id, req.page, req.origin, 0, req.op_id);
     DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
     for (auto& q : parked) {
@@ -512,9 +486,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
   }
   IvyReply reply{id,    req.page, PageAccess::kRead, zero_fill,
                  false, /*ownership=*/false, node_, req.op_id, false};
-  if (stats_ != nullptr) {
-    counters_.read_grants.Add(*stats_, "dsm.ivy.read_grants");
-  }
+  counters_.read_grants.Add(stats_, "dsm.ivy.read_grants");
   DeliverReply(req, reply, zero_fill ? nullptr : std::move(data));
   FinishServe(id, req.page);
 }
@@ -538,9 +510,7 @@ void IvyAgent::ApplyGrant(const MemObjectId& id, PageIndex page, const IvyReply&
                           PageBuffer data) {
   auto repr = reprs_.at(id);
   if (reply.lost) {
-    if (stats_ != nullptr) {
-      counters_.lost_page_faults.Add(*stats_, "dsm.ivy.lost_page_faults");
-    }
+    counters_.lost_page_faults.Add(stats_, "dsm.ivy.lost_page_faults");
     Trace(TraceKind::kGrantApplied, id, page, reply.owner, /*aux=*/-1, reply.op_id);
     vm_.FaultFailed(*repr, page, Status::kDataLost);
     DrainParked(id, page);
@@ -600,9 +570,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   const DirectoryRecord& info = system_.info(id);
   if (info.IsCopyObject()) {
     if (!dirty) {
-      if (stats_ != nullptr) {
-        counters_.evict_discards.Add(*stats_, "ivy.evict_discards");
-      }
+      counters_.evict_discards.Add(stats_, "ivy.evict_discards");
       return EvictAction::kDiscard;
     }
     return copy_pager_.PageOut(object, page, std::move(data));
@@ -610,9 +578,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   if (OwnerState* st = OwnedState(id, page); st != nullptr) {
     // The owner's kernel copy is the page's authoritative contents — capture
     // it (clean or dirty) as the protocol-level copy future grants serve.
-    if (stats_ != nullptr) {
-      counters_.evict_captures.Add(*stats_, "ivy.evict_captures");
-    }
+    counters_.evict_captures.Add(stats_, "ivy.evict_captures");
     st->pager_copy = std::move(data);
     if (dirty) {
       if (info.file_backed) {
@@ -636,9 +602,7 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   }
   // Non-owner read copy: discard. The owner still lists us in its copyset —
   // conservative; a re-touch simply re-requests.
-  if (stats_ != nullptr) {
-    counters_.evict_discards.Add(*stats_, "ivy.evict_discards");
-  }
+  counters_.evict_discards.Add(stats_, "ivy.evict_discards");
   return EvictAction::kDiscard;
 }
 
@@ -665,9 +629,7 @@ void IvyAgent::OnDeathNotice(NodeId dead) {
       // live node whose own (also-cut) chain converges on one. Pointing at
       // ourselves would orbit; fall back to the home instead.
       os.hints.GetOrCreate(p).owner = succ == node_ ? kInvalidNode : succ;
-      if (stats_ != nullptr) {
-        counters_.chain_cuts.Add(*stats_, kStatIvyChainCuts);
-      }
+      counters_.chain_cuts.Add(stats_, kStatIvyChainCuts);
       Trace(TraceKind::kIvyChainCut, id, p, dead);
     }
   }
@@ -720,9 +682,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
           if (inserted && msg.page != nullptr) {
             it->second.pager_copy = std::move(msg.page);
           }
-          if (stats_ != nullptr) {
-            counters_.straggler_ownership_grants.Add(*stats_, "dsm.ivy.straggler_ownership_grants");
-          }
+          counters_.straggler_ownership_grants.Add(stats_, "dsm.ivy.straggler_ownership_grants");
         }
         return;
       }
@@ -745,9 +705,7 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
       }
       // Chain compression: ownership is about to land at new_owner.
       SetHint(m.object, m.page, m.new_owner);
-      if (stats_ != nullptr) {
-        counters_.invalidated_copies.Add(*stats_, "dsm.ivy.invalidated_copies");
-      }
+      counters_.invalidated_copies.Add(stats_, "dsm.ivy.invalidated_copies");
       Send(src, IvyMsgType::kInvalidateAck,
            IvyInvalidate{m.object, m.page, m.new_owner, m.op_id});
       return;

@@ -18,9 +18,7 @@ void DefaultPager::ReadPage(uint64_t object_serial, PageIndex page,
   ASVM_CHECK_MSG(it != store_.end() && it->second.count(page) != 0,
                  "default pager read of page not in paging space");
   PageBuffer data = ClonePage(it->second[page]);
-  if (stats_ != nullptr) {
-    pageins_.Add(*stats_, "default_pager.pageins");
-  }
+  pageins_.Add(stats_, "default_pager.pageins");
   ASVM_CHECK_MSG(disk_ != nullptr, "paging without a paging disk");
   disk_->Read(PositionKey(object_serial, page), data->size(),
               [data, done = std::move(done)]() { done(data); });
@@ -35,9 +33,7 @@ void DefaultPager::WritePage(uint64_t object_serial, PageIndex page, PageBuffer 
     ++count_;
   }
   slot = ClonePage(data);
-  if (stats_ != nullptr) {
-    pageouts_.Add(*stats_, "default_pager.pageouts");
-  }
+  pageouts_.Add(stats_, "default_pager.pageouts");
   const size_t bytes = data->size();
   disk_->Write(PositionKey(object_serial, page), bytes, [done = std::move(done)]() {
     if (done) {

@@ -20,7 +20,7 @@ class DefaultPager {
   // `disk` is the paging disk (on the node's I/O node; shared between the
   // nodes of an I/O group). May be null in configurations that must never
   // page, in which case writes abort.
-  DefaultPager(Engine& engine, Disk* disk, StatsRegistry* stats)
+  DefaultPager(Engine& engine, Disk* disk, StatsRegistry& stats)
       : engine_(engine), disk_(disk), stats_(stats) {}
 
   // True when paging space holds contents for (object serial, page).
@@ -50,7 +50,7 @@ class DefaultPager {
 
   Engine& engine_;
   Disk* disk_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   CounterHandle pageins_;
   CounterHandle pageouts_;
   std::unordered_map<uint64_t, std::unordered_map<PageIndex, PageBuffer>> store_;

@@ -7,37 +7,33 @@ namespace asvm {
 
 void Disk::Read(int64_t position, size_t bytes, EventFn done) {
   ++reads_;
-  if (stats_ != nullptr) {
-    reads_counter_.Add(*stats_, "disk.reads");
-    bytes_read_.Add(*stats_, "disk.bytes_read", static_cast<int64_t>(bytes));
-  }
+  reads_counter_.Add(stats_, "disk.reads");
+  bytes_read_.Add(stats_, "disk.bytes_read", static_cast<int64_t>(bytes));
   TraceOp(TraceKind::kDiskRead, position, bytes);
   Access(position, bytes, std::move(done));
 }
 
 void Disk::Write(int64_t position, size_t bytes, EventFn done) {
   ++writes_;
-  if (stats_ != nullptr) {
-    writes_counter_.Add(*stats_, "disk.writes");
-    bytes_written_.Add(*stats_, "disk.bytes_written", static_cast<int64_t>(bytes));
-  }
+  writes_counter_.Add(stats_, "disk.writes");
+  bytes_written_.Add(stats_, "disk.bytes_written", static_cast<int64_t>(bytes));
   TraceOp(TraceKind::kDiskWrite, position, bytes);
   Access(position, bytes, std::move(done));
 }
 
 void Disk::TraceOp(TraceKind kind, int64_t position, size_t bytes) {
-  if (trace_ == nullptr || !trace_->enabled()) {
+  if (!trace_.enabled()) {
     return;
   }
   TraceEvent e;
   e.time = engine_.Now();
-  e.node = trace_node_;
+  e.node = node_;
   e.protocol = TraceProtocol::kDisk;
   e.kind = kind;
   // position packs (file id << 32 | page); the low half is the page index.
   e.page = position & 0xffffffff;
   e.aux = static_cast<int64_t>(bytes);
-  trace_->Emit(e);
+  trace_.Emit(e);
 }
 
 void Disk::Access(int64_t position, size_t bytes, EventFn done) {

@@ -20,8 +20,10 @@ struct DiskParams {
 
 class Disk {
  public:
-  Disk(Engine& engine, DiskParams params, StatsRegistry* stats)
-      : engine_(engine), params_(params), stats_(stats) {}
+  // `node` labels which node this spindle serves in the trace (the I/O group
+  // leader or the pager node).
+  Disk(Engine& engine, NodeId node, DiskParams params, StatsRegistry& stats, TraceSink& trace)
+      : engine_(engine), node_(node), params_(params), stats_(stats), trace_(trace) {}
 
   // `position` identifies the block being accessed (file id << 32 | page);
   // an access at last_position+1 is sequential. `done` runs when the
@@ -32,22 +34,15 @@ class Disk {
   int64_t reads() const { return reads_; }
   int64_t writes() const { return writes_; }
 
-  // Attaches the machine-wide trace sink (not owned); `node` labels which node
-  // this spindle serves in the trace (the I/O group leader or pager node).
-  void set_trace(TraceSink* sink, NodeId node) {
-    trace_ = sink;
-    trace_node_ = node;
-  }
-
  private:
   void Access(int64_t position, size_t bytes, EventFn done);
   void TraceOp(TraceKind kind, int64_t position, size_t bytes);
 
   Engine& engine_;
+  NodeId node_;
   DiskParams params_;
-  StatsRegistry* stats_;
-  TraceSink* trace_ = nullptr;
-  NodeId trace_node_ = kInvalidNode;
+  StatsRegistry& stats_;
+  TraceSink& trace_;
   SimTime busy_until_ = 0;
   int64_t last_position_ = -100;  // far from any first access
   int64_t reads_ = 0;

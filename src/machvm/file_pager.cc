@@ -38,9 +38,7 @@ void FilePager::Process(std::function<void()> fn) {
 void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
                          std::function<void(PageBuffer)> done) {
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
-  if (stats_ != nullptr) {
-    reads_.Add(*stats_, "file_pager.reads");
-  }
+  reads_.Add(stats_, "file_pager.reads");
   Process([this, file_id, page, page_size, done = std::move(done)]() mutable {
     File& file = files_[file_id];
     auto it = file.written.find(page);
@@ -56,9 +54,7 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
     if (file.staged.count(page) != 0) {
       // Read-ahead already brought this page into the pager's buffer.
       file.staged.erase(page);
-      if (stats_ != nullptr) {
-        readahead_hits_.Add(*stats_, "file_pager.readahead_hits");
-      }
+      readahead_hits_.Add(stats_, "file_pager.readahead_hits");
       auto data = AllocPage(page_size);
       FillPattern(file_id, page, *data);
       done(std::move(data));
@@ -89,9 +85,7 @@ void FilePager::WritePage(int32_t file_id, PageIndex page, PageBuffer data,
                           std::function<void()> done) {
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
   ASVM_CHECK(data != nullptr);
-  if (stats_ != nullptr) {
-    writes_.Add(*stats_, "file_pager.writes");
-  }
+  writes_.Add(stats_, "file_pager.writes");
   const size_t bytes = data->size();
   Process([this, file_id, page, bytes, data = std::move(data), done = std::move(done)]() {
     files_[file_id].written[page] = ClonePage(data);
@@ -108,9 +102,7 @@ void FilePager::WritePage(int32_t file_id, PageIndex page, PageBuffer data,
 void FilePager::GrantFresh(int32_t file_id, PageIndex page, std::function<void()> done) {
   (void)page;
   ASVM_CHECK(file_id >= 0 && static_cast<size_t>(file_id) < files_.size());
-  if (stats_ != nullptr) {
-    fresh_grants_.Add(*stats_, "file_pager.fresh_grants");
-  }
+  fresh_grants_.Add(stats_, "file_pager.fresh_grants");
   Process([done = std::move(done)]() {
     if (done) {
       done();

@@ -32,7 +32,7 @@ struct FilePagerParams {
 class FilePager {
  public:
   FilePager(Engine& engine, NodeId io_node, Disk* disk, FilePagerParams params,
-            StatsRegistry* stats)
+            StatsRegistry& stats)
       : engine_(engine), io_node_(io_node), disk_(disk), params_(params), stats_(stats) {}
 
   NodeId node() const { return io_node_; }
@@ -85,7 +85,7 @@ class FilePager {
   NodeId io_node_;
   Disk* disk_;
   FilePagerParams params_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   CounterHandle reads_;
   CounterHandle readahead_hits_;
   CounterHandle writes_;

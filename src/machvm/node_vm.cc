@@ -7,7 +7,7 @@
 
 namespace asvm {
 
-NodeVm::NodeVm(Engine& engine, NodeId node, VmParams params, StatsRegistry* stats)
+NodeVm::NodeVm(Engine& engine, NodeId node, VmParams params, StatsRegistry& stats)
     : engine_(engine), node_(node), params_(params), stats_(stats) {}
 
 NodeVm::~NodeVm() {
@@ -80,9 +80,7 @@ VmMap* NodeVm::ForkMap(VmMap& parent) {
       }
     }
   }
-  if (stats_ != nullptr) {
-    stats_->Add("vm.forks");
-  }
+  stats_.Add("vm.forks");
   return child;
 }
 
@@ -97,9 +95,7 @@ std::shared_ptr<VmObject> NodeVm::CreateAsymmetricCopy(const std::shared_ptr<VmO
     older->set_shadow(copy);
   }
   source->set_copy(copy);
-  if (stats_ != nullptr) {
-    stats_->Add("vm.asymmetric_copies");
-  }
+  stats_.Add("vm.asymmetric_copies");
   return copy;
 }
 
@@ -219,9 +215,7 @@ bool NodeVm::PushToLocalCopy(VmObject& source, PageIndex page, const PageBuffer&
   }
   // Pushed pages exist nowhere else from the copy's point of view: dirty.
   InstallPage(*copy, page, ClonePage(pre_write), PageAccess::kWrite, /*dirty=*/true);
-  if (stats_ != nullptr) {
-    counters_.local_pushes.Add(*stats_, "vm.local_pushes");
-  }
+  counters_.local_pushes.Add(stats_, "vm.local_pushes");
   return true;
 }
 
@@ -232,13 +226,11 @@ Future<Status> NodeVm::Fault(VmMap& map, VmOffset addr, PageAccess desired) {
 }
 
 Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<Status> done) {
-  if (stats_ != nullptr) {
-    counters_.faults.Add(*stats_, "vm.faults");
-    if (desired == PageAccess::kWrite) {
-      counters_.faults_write.Add(*stats_, "vm.faults_write");
-    } else {
-      counters_.faults_read.Add(*stats_, "vm.faults_read");
-    }
+  counters_.faults.Add(stats_, "vm.faults");
+  if (desired == PageAccess::kWrite) {
+    counters_.faults_write.Add(stats_, "vm.faults_write");
+  } else {
+    counters_.faults_read.Add(stats_, "vm.faults_read");
   }
   const uint64_t fault_serial = next_fault_serial_++;
   faults_in_flight_.emplace(fault_serial, InFlightFault{addr, desired, engine_.Now()});
@@ -273,9 +265,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         fresh->set_shadow(shadow_holder);
         c.entry->object = std::move(fresh);
         c.entry->needs_copy = false;
-        if (stats_ != nullptr) {
-          counters_.shadow_objects.Add(*stats_, "vm.shadow_objects");
-        }
+        counters_.shadow_objects.Add(stats_, "vm.shadow_objects");
         co_await Delay(engine_, params_.costs.map_op_ns);
         continue;
       }
@@ -333,9 +323,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         co_await Delay(engine_, params_.costs.zero_fill_ns);
         InstallPage(*c.target, c.page, AllocPage(params_.page_size), PageAccess::kWrite,
                     /*dirty=*/desired == PageAccess::kWrite);
-        if (stats_ != nullptr) {
-          counters_.zero_fills.Add(*stats_, "vm.zero_fills");
-        }
+        counters_.zero_fills.Add(stats_, "vm.zero_fills");
         continue;
       }
       case Classified::Kind::kCowCopy: {
@@ -345,9 +333,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
         bool pushed = PushToLocalCopy(*c.target, c.page, pre_write);
         InstallPage(*c.target, c.page, ClonePage(pre_write), PageAccess::kWrite,
                     /*dirty=*/true);
-        if (stats_ != nullptr) {
-          counters_.cow_copies.Add(*stats_, "vm.cow_copies");
-        }
+        counters_.cow_copies.Add(stats_, "vm.cow_copies");
         co_await Delay(engine_, params_.costs.page_copy_ns * (pushed ? 2 : 1));
         continue;
       }
@@ -385,9 +371,7 @@ void NodeVm::DataSupply(VmObject& object, PageIndex page, PageBuffer data, PageA
     ASVM_CHECK_MSG(copy != nullptr, "push supply on object without a copy");
     if (!CopyHasPage(*copy, page)) {
       InstallPage(*copy, page, std::move(data), PageAccess::kWrite, /*dirty=*/true);
-      if (stats_ != nullptr) {
-        counters_.push_supplies.Add(*stats_, "vm.push_supplies");
-      }
+      counters_.push_supplies.Add(stats_, "vm.push_supplies");
     }
     copy->WakeWaiters(page, Status::kOk);
     return;
@@ -395,18 +379,14 @@ void NodeVm::DataSupply(VmObject& object, PageIndex page, PageBuffer data, PageA
   InstallPage(object, page, std::move(data), lock, dirty);
   object.ClearOutstandingRequest(page);
   object.WakeWaiters(page, Status::kOk);
-  if (stats_ != nullptr) {
-    counters_.data_supplies.Add(*stats_, "vm.data_supplies");
-  }
+  counters_.data_supplies.Add(stats_, "vm.data_supplies");
 }
 
 void NodeVm::DataUnavailable(VmObject& object, PageIndex page, PageAccess lock) {
   InstallPage(object, page, AllocPage(params_.page_size), lock, /*dirty=*/false);
   object.ClearOutstandingRequest(page);
   object.WakeWaiters(page, Status::kOk);
-  if (stats_ != nullptr) {
-    counters_.data_unavailable.Add(*stats_, "vm.data_unavailable");
-  }
+  counters_.data_unavailable.Add(stats_, "vm.data_unavailable");
 }
 
 void NodeVm::LockGranted(VmObject& object, PageIndex page, PageAccess new_lock) {
@@ -441,17 +421,13 @@ void NodeVm::LockRequest(VmObject& object, PageIndex page, PageAccess new_lock, 
   } else {
     vp->lock = new_lock;
   }
-  if (stats_ != nullptr) {
-    counters_.lock_requests.Add(*stats_, "vm.lock_requests");
-  }
+  counters_.lock_requests.Add(stats_, "vm.lock_requests");
   engine_.Schedule(cost, [completed = std::move(completed)]() { completed(LockResult::kDone); });
 }
 
 void NodeVm::PullRequest(VmObject& object, PageIndex page,
                          std::function<void(PullResult)> completed) {
-  if (stats_ != nullptr) {
-    counters_.pull_requests.Add(*stats_, "vm.pull_requests");
-  }
+  counters_.pull_requests.Add(stats_, "vm.pull_requests");
   VmObject* cur = &object;
   while (cur != nullptr) {
     VmPage* vp = cur->FindResident(page);
@@ -563,9 +539,7 @@ Status NodeVm::EvictOnePage() {
 
     PageBuffer data = vp->data;
     const bool dirty = vp->dirty;
-    if (stats_ != nullptr) {
-      counters_.pageouts.Add(*stats_, "vm.pageouts");
-    }
+    counters_.pageouts.Add(stats_, "vm.pageouts");
     if (object->managed()) {
       EvictAction action = object->pager()->OnEvict(*object, ref.page, data, dirty);
       (void)action;  // the pager has taken care of the contents either way

@@ -43,7 +43,7 @@ struct VmParams {
 
 class NodeVm {
  public:
-  NodeVm(Engine& engine, NodeId node, VmParams params, StatsRegistry* stats);
+  NodeVm(Engine& engine, NodeId node, VmParams params, StatsRegistry& stats);
   ~NodeVm();
 
   NodeVm(const NodeVm&) = delete;
@@ -53,7 +53,6 @@ class NodeVm {
   NodeId node() const { return node_; }
   size_t page_size() const { return params_.page_size; }
   const VmCosts& costs() const { return params_.costs; }
-  StatsRegistry* stats() { return stats_; }
 
   // The default pager backs anonymous memory once it is paged out. Must be
   // set before any eviction of dirty anonymous pages can occur.
@@ -216,7 +215,7 @@ class NodeVm {
   Engine& engine_;
   NodeId node_;
   VmParams params_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   // Fault-path counters, bound on first use (DESIGN.md §11).
   struct Counters {
     CounterHandle faults, faults_read, faults_write, shadow_objects, zero_fills, cow_copies,

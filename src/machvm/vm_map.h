@@ -47,8 +47,6 @@ class VmMap {
   VmMapEntry* LookupPage(VmOffset vpage);
   const VmMapEntry* LookupPage(VmOffset vpage) const;
 
-  VmMapEntry* LookupAddr(VmOffset addr) { return LookupPage(addr / page_size_); }
-
   // Translates a virtual address to (entry, object page index). Returns
   // nullptr entry when unmapped.
   struct Resolution {

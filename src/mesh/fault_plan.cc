@@ -93,8 +93,7 @@ bool FaultProfileFromName(const std::string& name, uint64_t seed, int node_count
   return false;
 }
 
-FaultPlan::FaultPlan(Engine& engine, FaultPlanParams params, int node_count,
-                     StatsRegistry* stats)
+FaultPlan::FaultPlan(Engine& engine, FaultPlanParams params, int node_count, StatsRegistry& stats)
     : engine_(engine),
       params_(std::move(params)),
       node_count_(node_count),
@@ -151,16 +150,14 @@ bool FaultPlan::Delivers(NodeId src, NodeId dst, SimTime now) {
   if (src_alive && dst_alive) {
     return true;
   }
-  if (stats_ != nullptr) {
-    // Aggregate plus per-removed-endpoint attribution, so a multi-removal
-    // plan shows which black hole ate the traffic.
-    messages_dropped_.Add(*stats_, "fault.messages_dropped");
-    if (!src_alive) {
-      stats_->Add("fault.messages_dropped.node" + std::to_string(src));
-    }
-    if (!dst_alive && dst != src) {
-      stats_->Add("fault.messages_dropped.node" + std::to_string(dst));
-    }
+  // Aggregate plus per-removed-endpoint attribution, so a multi-removal
+  // plan shows which black hole ate the traffic.
+  messages_dropped_.Add(stats_, "fault.messages_dropped");
+  if (!src_alive) {
+    stats_.Add("fault.messages_dropped.node" + std::to_string(src));
+  }
+  if (!dst_alive && dst != src) {
+    stats_.Add("fault.messages_dropped.node" + std::to_string(dst));
   }
   return false;
 }
@@ -171,10 +168,8 @@ SimDuration FaultPlan::NextJitter() {
   }
   const SimDuration jitter =
       static_cast<SimDuration>(rng_.NextBelow(static_cast<uint64_t>(params_.max_jitter_ns) + 1));
-  if (stats_ != nullptr) {
-    jitter_messages_.Add(*stats_, "fault.jitter_messages");
-    jitter_ns_.Add(*stats_, "fault.jitter_ns", jitter);
-  }
+  jitter_messages_.Add(stats_, "fault.jitter_messages");
+  jitter_ns_.Add(stats_, "fault.jitter_ns", jitter);
   return jitter;
 }
 
@@ -188,8 +183,8 @@ double FaultPlan::LinkBandwidthFactor(NodeId src, NodeId dst) {
       factor *= d.bandwidth_factor;
     }
   }
-  if (factor != 1.0 && stats_ != nullptr) {
-    degraded_messages_.Add(*stats_, "fault.degraded_messages");
+  if (factor != 1.0) {
+    degraded_messages_.Add(stats_, "fault.degraded_messages");
   }
   return factor;
 }

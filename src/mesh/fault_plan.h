@@ -79,7 +79,7 @@ bool FaultProfileFromName(const std::string& name, uint64_t seed, int node_count
 
 class FaultPlan {
  public:
-  FaultPlan(Engine& engine, FaultPlanParams params, int node_count, StatsRegistry* stats);
+  FaultPlan(Engine& engine, FaultPlanParams params, int node_count, StatsRegistry& stats);
 
   const FaultPlanParams& params() const { return params_; }
 
@@ -115,7 +115,7 @@ class FaultPlan {
   Engine& engine_;
   FaultPlanParams params_;
   int node_count_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   CounterHandle messages_dropped_;
   CounterHandle jitter_messages_;
   CounterHandle jitter_ns_;

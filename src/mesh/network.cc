@@ -28,7 +28,7 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
                                  "(Transport delivers them itself)");
 
   if (fault_ != nullptr && !fault_->Delivers(src, dst, now)) {
-    if (trace_ != nullptr && trace_->enabled()) {
+    if (trace_.enabled()) {
       TraceEvent e;
       e.time = now;
       e.node = src;
@@ -36,7 +36,7 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
       e.kind = TraceKind::kMsgDropped;
       e.peer = dst;
       e.aux = static_cast<int64_t>(bytes);
-      trace_->Emit(e);
+      trace_.Emit(e);
     }
     return -1;  // black hole: a removed node's traffic silently vanishes (counted)
   }
@@ -64,11 +64,9 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
   const SimTime rx_done = std::max(head_arrival, rx_busy_until_[dst]) + ser + jitter;
   rx_busy_until_[dst] = rx_done;
 
-  if (stats_ != nullptr) {
-    messages_.Add(*stats_, "mesh.messages");
-    bytes_.Add(*stats_, "mesh.bytes", static_cast<int64_t>(bytes));
-  }
-  if (jitter != 0 && trace_ != nullptr && trace_->enabled()) {
+  messages_.Add(stats_, "mesh.messages");
+  bytes_.Add(stats_, "mesh.bytes", static_cast<int64_t>(bytes));
+  if (jitter != 0 && trace_.enabled()) {
     TraceEvent e;
     e.time = now;
     e.node = dst;
@@ -76,7 +74,7 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
     e.kind = TraceKind::kJitter;
     e.peer = src;
     e.aux = jitter;
-    trace_->Emit(e);
+    trace_.Emit(e);
   }
 
   return rx_done;

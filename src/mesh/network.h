@@ -48,10 +48,13 @@ using MeshOutboxes = std::vector<std::vector<MeshRecord>>;
 
 class Network {
  public:
-  Network(Topology topology, MeshParams params, StatsRegistry* stats)
+  // Fabric-level fault effects (dropped messages, injected jitter) are
+  // emitted into `trace` as events.
+  Network(Topology topology, MeshParams params, StatsRegistry& stats, TraceSink& trace)
       : topology_(topology),
         params_(params),
         stats_(stats),
+        trace_(trace),
         tx_busy_until_(topology.node_count(), 0),
         rx_busy_until_(topology.node_count(), 0) {}
 
@@ -74,10 +77,6 @@ class Network {
   // bit-identical to the unfaulted simulator.
   void set_fault_plan(FaultPlan* plan) { fault_ = plan; }
 
-  // Attaches the machine-wide trace sink (not owned): fabric-level fault
-  // effects (dropped messages, injected jitter) become visible trace events.
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
   const MeshParams& params() const { return params_; }
 
  private:
@@ -87,11 +86,11 @@ class Network {
 
   Topology topology_;
   MeshParams params_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
+  TraceSink& trace_;
   CounterHandle messages_;
   CounterHandle bytes_;
   FaultPlan* fault_ = nullptr;
-  TraceSink* trace_ = nullptr;
   std::vector<SimTime> tx_busy_until_;
   std::vector<SimTime> rx_busy_until_;
 };

@@ -1,5 +1,5 @@
 // Cooperative synchronization primitives for simulated tasks: wait groups
-// (fork/join), counting semaphores (bounded thread pools), and barriers.
+// (fork/join) and counting semaphores (bounded thread pools).
 #ifndef SRC_SIM_SYNC_H_
 #define SRC_SIM_SYNC_H_
 
@@ -104,38 +104,6 @@ class SimSemaphore {
   int64_t permits_;
   int64_t blocked_ = 0;
   std::deque<std::coroutine_handle<>> queue_;
-};
-
-// All participants block until `parties` of them have arrived, then all
-// resume; reusable across rounds (generation counting).
-class SimBarrier {
- public:
-  SimBarrier(Engine& engine, int64_t parties) : engine_(engine), parties_(parties) {}
-
-  struct Awaiter {
-    SimBarrier* barrier;
-    bool await_ready() const noexcept { return barrier->parties_ <= 1; }
-    bool await_suspend(std::coroutine_handle<> handle) {
-      barrier->waiters_.push_back(handle);
-      if (static_cast<int64_t>(barrier->waiters_.size()) == barrier->parties_) {
-        std::vector<std::coroutine_handle<>> to_resume;
-        to_resume.swap(barrier->waiters_);
-        for (auto waiter : to_resume) {
-          barrier->engine_.Post([waiter]() { waiter.resume(); });
-        }
-        // This arrival completed the round; it resumes through the queue too
-        // (it is in to_resume), so remain suspended here.
-      }
-      return true;
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter Arrive() { return Awaiter{this}; }
-
- private:
-  Engine& engine_;
-  int64_t parties_;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace asvm

@@ -39,20 +39,18 @@ uint64_t MessageOpId(const Message& msg) {
 }  // namespace
 
 Transport::Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
-                     TransportCosts costs, StatsRegistry* stats)
+                     TransportCosts costs, StatsRegistry& stats, TraceSink& trace)
     : engines_(engines),
       outboxes_(outboxes),
       name_(std::move(name)),
       costs_(costs),
       stats_(stats),
+      trace_(trace),
       handlers_(kMaxProtocols * engines.node_count()),
-      cpu_busy_until_(engines.node_count(), 0) {
-  if (stats_ != nullptr) {
-    messages_counter_ = &stats_->Counter("transport." + name_ + ".messages");
-    bytes_counter_ = &stats_->Counter("transport." + name_ + ".bytes");
-    page_messages_counter_ = &stats_->Counter("transport." + name_ + ".page_messages");
-  }
-}
+      cpu_busy_until_(engines.node_count(), 0),
+      messages_counter_(stats.Counter("transport." + name_ + ".messages")),
+      bytes_counter_(stats.Counter("transport." + name_ + ".bytes")),
+      page_messages_counter_(stats.Counter("transport." + name_ + ".page_messages")) {}
 
 Transport::Handler& Transport::HandlerSlot(ProtocolId protocol, NodeId node) {
   const size_t p = static_cast<size_t>(protocol);
@@ -67,10 +65,10 @@ void Transport::CountType(const Message& msg) {
   const size_t t = static_cast<size_t>(msg.type);
   if (p < kMaxProtocols && t < kMaxMsgTypes) {
     type_counters_[p][t].Add(
-        *stats_, [&] { return "transport." + name_ + ".msg." + MsgTypeName(msg); });
+        stats_, [&] { return "transport." + name_ + ".msg." + MsgTypeName(msg); });
     return;
   }
-  stats_->Add("transport." + name_ + ".msg.unknown");
+  stats_.Add("transport." + name_ + ".msg.unknown");
 }
 
 SimDuration Transport::SwCost(SimDuration base, NodeId node) {
@@ -81,9 +79,7 @@ SimDuration Transport::SwCost(SimDuration base, NodeId node) {
   if (factor == 1.0) {
     return base;
   }
-  if (stats_ != nullptr) {
-    slowed_messages_.Add(*stats_, "fault.slowed_messages");
-  }
+  slowed_messages_.Add(stats_, "fault.slowed_messages");
   return static_cast<SimDuration>(std::llround(static_cast<double>(base) * factor));
 }
 
@@ -98,19 +94,16 @@ void Transport::RegisterHandler(ProtocolId protocol, NodeId node, Handler handle
 }
 
 void Transport::Send(NodeId src, NodeId dst, Message msg) {
-  if (stats_ != nullptr) {
-    messages_counter_->fetch_add(1, std::memory_order_relaxed);
-    bytes_counter_->fetch_add(
-        static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes),
-        std::memory_order_relaxed);
-    if (msg.page) {
-      page_messages_counter_->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (per_type_stats_) {
-      CountType(msg);
-    }
+  messages_counter_.fetch_add(1, std::memory_order_relaxed);
+  bytes_counter_.fetch_add(static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes),
+                           std::memory_order_relaxed);
+  if (msg.page) {
+    page_messages_counter_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (per_type_stats_) {
+    CountType(msg);
+  }
+  if (trace_.enabled()) {
     TraceEvent e;
     e.time = node_engine(src).Now();
     e.node = src;
@@ -120,7 +113,7 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
     e.op = MessageOpId(msg);
     e.aux = static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes);
     e.detail = MsgTypeName(msg);
-    trace_->Emit(e);
+    trace_.Emit(e);
   }
 
   if (src == dst) {
@@ -161,7 +154,7 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
 
 void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
   Engine& dst_engine = node_engine(dst);
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (trace_.enabled()) {
     TraceEvent e;
     e.time = dst_engine.Now();
     e.node = dst;
@@ -171,7 +164,7 @@ void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
     e.op = MessageOpId(msg);
     e.aux = static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes);
     e.detail = MsgTypeName(msg);
-    trace_->Emit(e);
+    trace_.Emit(e);
   }
   // Software receive path serializes on the receiving node's protocol CPU: a
   // node flooded with requests (a centralized manager) processes them one at

@@ -1,14 +1,15 @@
-// Transport service interface plus a shared cost-modeled implementation.
-//
-// Two concrete transports exist, mirroring the paper:
-//  * StsTransport — the dedicated SVM Transport Service: tiny fixed-size
+// The cost-modeled transport service. One class serves every transport; a
+// Transport is a name plus a cost preset, mirroring the paper:
+//  * "sts" (StsCosts) — the dedicated SVM Transport Service: tiny fixed-size
 //    untyped control messages, preallocated page receive buffers, low
-//    per-message software overhead.
-//  * NormaIpc — Mach NORMA-IPC: port-right translation and complex typed
-//    message structures impose a large per-message software cost (the paper
-//    attributes ~90% of XMM's remote-fault latency to it).
+//    per-message software overhead;
+//  * "sts_ctl" (StsCtlCosts) — the STS channel for trivial preformatted
+//    control messages (invalidation rounds);
+//  * "norma" (NormaIpcCosts) — Mach NORMA-IPC: port-right translation and
+//    complex typed message structures impose a large per-message software
+//    cost (the paper attributes ~90% of XMM's remote-fault latency to it).
 //
-// Both charge a software send overhead serialized on the sending node and a
+// Each charges a software send overhead serialized on the sending node and a
 // software receive overhead serialized on the receiving node, over the same
 // mesh fabric. A cross-node send never touches the fabric directly: it
 // becomes a MeshRecord in the sending shard's outbox, and the cluster's
@@ -45,11 +46,14 @@ class Transport {
   using Handler = std::function<void(NodeId src, Message msg)>;
 
   // `engines` maps each node to the engine that simulates it; cross-node
-  // sends append to `outboxes` (one per shard, drained by the cluster). Both
-  // must outlive the transport.
+  // sends append to `outboxes` (one per shard, drained by the cluster). Every
+  // send and delivery emits a kMsgSend/kMsgRecv event into `trace`, carrying
+  // the message type and, when the body has one, the protocol op id. All four
+  // must outlive the transport. The transport's messages, bytes and
+  // page_messages counters are registered here, so they report zero on a run
+  // that never uses it.
   Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
-            TransportCosts costs, StatsRegistry* stats);
-  virtual ~Transport() = default;
+            TransportCosts costs, StatsRegistry& stats, TraceSink& trace);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -76,11 +80,6 @@ class Transport {
   // software send/recv costs. Never attached in healthy runs.
   void set_fault_plan(FaultPlan* plan) { fault_ = plan; }
 
-  // Attaches the machine-wide trace sink (not owned): every send/delivery
-  // emits a kMsgSend/kMsgRecv event carrying the message type and, when the
-  // body has one, the protocol op id. Host-side only.
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
  private:
   // Protocol ids are small contiguous integers; message-type tags are small
   // per-protocol enums. Both are bounded so dispatch and the per-type counter
@@ -98,9 +97,9 @@ class Transport {
   MeshOutboxes& outboxes_;
   std::string name_;
   TransportCosts costs_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
+  TraceSink& trace_;
   FaultPlan* fault_ = nullptr;
-  TraceSink* trace_ = nullptr;
   // Indexed [protocol * node_count + node]; empty std::function = unregistered.
   std::vector<Handler> handlers_;
   // One protocol CPU per node: sending and receiving share it, so a node
@@ -109,38 +108,20 @@ class Transport {
   std::vector<SimTime> cpu_busy_until_;
   // Cached counter references so the per-send cost is an increment, not a
   // string build + map lookup. Atomics: shard threads send concurrently.
-  std::atomic<int64_t>* messages_counter_ = nullptr;
-  std::atomic<int64_t>* bytes_counter_ = nullptr;
-  std::atomic<int64_t>* page_messages_counter_ = nullptr;
+  std::atomic<int64_t>& messages_counter_;
+  std::atomic<int64_t>& bytes_counter_;
+  std::atomic<int64_t>& page_messages_counter_;
   bool per_type_stats_ = false;
   std::array<std::array<CounterHandle, kMaxMsgTypes>, kMaxProtocols> type_counters_;
   CounterHandle slowed_messages_;
 };
 
-// Factory helpers with the calibrated cost models (see DESIGN.md §4).
+// The calibrated cost models (see DESIGN.md §4).
 TransportCosts StsCosts();
-TransportCosts StsCtlCosts();
-TransportCosts NormaIpcCosts();
-
-class StsTransport : public Transport {
- public:
-  StsTransport(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
-      : Transport(engines, outboxes, "sts", StsCosts(), stats) {}
-};
-
 // STS channel for trivial preformatted control messages (invalidation
 // rounds): Table 1's ~0.1 ms-per-reader slope comes from this path.
-class StsCtlTransport : public Transport {
- public:
-  StsCtlTransport(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
-      : Transport(engines, outboxes, "sts_ctl", StsCtlCosts(), stats) {}
-};
-
-class NormaIpc : public Transport {
- public:
-  NormaIpc(ShardedEngine& engines, MeshOutboxes& outboxes, StatsRegistry* stats)
-      : Transport(engines, outboxes, "norma", NormaIpcCosts(), stats) {}
-};
+TransportCosts StsCtlCosts();
+TransportCosts NormaIpcCosts();
 
 }  // namespace asvm
 

@@ -51,16 +51,12 @@ bool XmmAgent::DescribeStall(std::string& out) const {
 // --- Pager upcalls ----------------------------------------------------------
 
 void XmmAgent::DataRequest(VmObject& object, PageIndex page, PageAccess desired) {
-  if (stats_ != nullptr) {
-    counters_.data_requests.Add(*stats_, "xmm.data_requests");
-  }
+  counters_.data_requests.Add(stats_, "xmm.data_requests");
   SendRequest(object.id(), page, desired, /*has_copy=*/false);
 }
 
 void XmmAgent::DataUnlock(VmObject& object, PageIndex page, PageAccess desired) {
-  if (stats_ != nullptr) {
-    counters_.data_unlocks.Add(*stats_, "xmm.data_unlocks");
-  }
+  counters_.data_unlocks.Add(stats_, "xmm.data_unlocks");
   SendRequest(object.id(), page, desired, /*has_copy=*/true);
 }
 
@@ -121,14 +117,10 @@ EvictAction XmmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   // (the manager keeps thinking we have access — its state is conservative,
   // so a re-touch simply re-requests).
   if (!dirty) {
-    if (stats_ != nullptr) {
-      counters_.evict_discards.Add(*stats_, "xmm.evict_discards");
-    }
+    counters_.evict_discards.Add(stats_, "xmm.evict_discards");
     return EvictAction::kDiscard;
   }
-  if (stats_ != nullptr) {
-    counters_.evict_returns.Add(*stats_, "xmm.evict_returns");
-  }
+  counters_.evict_returns.Add(stats_, "xmm.evict_returns");
   const DirectoryRecord& info = system_.info(object.id());
   if (info.IsCopyObject()) {
     return copy_pager_.PageOut(object, page, std::move(data));
@@ -218,9 +210,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
   if (Deposed(info)) {
     co_return;  // promoted away while this request was parked; abandon it
   }
-  if (stats_ != nullptr) {
-    counters_.manager_requests.Add(*stats_, "xmm.manager_requests");
-  }
+  counters_.manager_requests.Add(stats_, "xmm.manager_requests");
   Trace(TraceKind::kXmmManagerServe, req.object, req.page, req.origin,
         static_cast<int64_t>(req.access));
 
@@ -231,9 +221,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
     XmmReply reply{req.object, req.page,   req.access, /*zero_fill=*/false,
                    /*upgrade=*/false, req.op_id};
     reply.lost = true;
-    if (stats_ != nullptr) {
-      counters_.lost_page_replies.Add(*stats_, "xmm.lost_page_replies");
-    }
+    counters_.lost_page_replies.Add(stats_, "xmm.lost_page_replies");
     Trace(TraceKind::kXmmGrant, req.object, req.page, req.origin, /*aux=*/-1);
     Send(req.origin, XmmMsgType::kReply, reply);
     lctl.busy = false;
@@ -255,9 +243,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
     // has expired the manager reclaims the page without the round — the last
     // contents died with the node, exactly as on the kNodeDown path below.
     AccessByte(ms, req.page, writer) = 0;
-    if (stats_ != nullptr) {
-      counters_.lease_reclaims.Add(*stats_, kStatLeaseReclaims);
-    }
+    counters_.lease_reclaims.Add(stats_, kStatLeaseReclaims);
     Trace(TraceKind::kLeaseReclaim, req.object, req.page, writer);
     writer = kInvalidNode;
   }
@@ -295,9 +281,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
           info.backing->Write(req.page, ClonePage(data),
                               [written]() { written.Set(Status::kOk); });
           co_await written.GetFuture();
-          if (stats_ != nullptr) {
-            counters_.dirty_cleanings.Add(*stats_, "xmm.dirty_cleanings");
-          }
+          counters_.dirty_cleanings.Add(stats_, "xmm.dirty_cleanings");
           if (Deposed(info)) {
             co_return;
           }
@@ -321,9 +305,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
       for (NodeId r : readers) {
         Trace(TraceKind::kXmmFlush, req.object, req.page, r, /*aux=*/2, op);
         Send(r, XmmMsgType::kFlushRead, XmmFlush{req.object, req.page, op});
-        if (stats_ != nullptr) {
-          counters_.reader_flushes.Add(*stats_, "xmm.reader_flushes");
-        }
+        counters_.reader_flushes.Add(stats_, "xmm.reader_flushes");
       }
       ArmRound(op, [this, object = req.object, page = req.page, op](NodeId r) {
         Send(r, XmmMsgType::kFlushRead, XmmFlush{object, page, op});
@@ -378,12 +360,10 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
   }
 
   XmmReply reply{req.object, req.page, req.access, zero_fill && !upgrade, upgrade, req.op_id};
-  if (stats_ != nullptr) {
-    if (req.access == PageAccess::kWrite) {
-      counters_.write_grants.Add(*stats_, "xmm.write_grants");
-    } else {
-      counters_.read_grants.Add(*stats_, "xmm.read_grants");
-    }
+  if (req.access == PageAccess::kWrite) {
+    counters_.write_grants.Add(stats_, "xmm.write_grants");
+  } else {
+    counters_.read_grants.Add(stats_, "xmm.read_grants");
   }
   Trace(TraceKind::kXmmGrant, req.object, req.page, req.origin,
         static_cast<int64_t>(req.access));
@@ -428,9 +408,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
         // The manager proved the page was committed and then lost with every
         // replica. Fail the fault — waking the kernel's waiters with an
         // error, never inventing zeros.
-        if (stats_ != nullptr) {
-          counters_.lost_page_faults.Add(*stats_, "xmm.lost_page_faults");
-        }
+        counters_.lost_page_faults.Add(stats_, "xmm.lost_page_faults");
         Trace(TraceKind::kGrantApplied, reply.object, reply.page, src, /*aux=*/-1);
         vm_.FaultFailed(*repr, reply.page, Status::kDataLost);
         return;
@@ -462,9 +440,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
       XmmFlushWriteReply reply{m.object, m.page, ex.dirty, ex.was_resident, m.op_id};
       Send(src, XmmMsgType::kFlushWriteReply, reply,
            ex.was_resident ? ClonePage(ex.data) : nullptr);
-      if (stats_ != nullptr) {
-        counters_.write_flushes.Add(*stats_, "xmm.write_flushes");
-      }
+      counters_.write_flushes.Add(stats_, "xmm.write_flushes");
       return;
     }
     case XmmMsgType::kFlushWriteReply: {

@@ -377,6 +377,49 @@ TEST(FailoverTest, OwnerDeathReconstructsFromSurvivingReadCopy) {
   }
 }
 
+// Home and owner die together: promotion finds no surviving owner to rebuild
+// the moved page's record from, so it must harvest the surviving read copy
+// itself (the lease-reclaim path never runs — no terminal outlives the owner).
+// The copy sits either on the promoted node (2, node 1's ring successor) or on
+// a bystander (3); the fourth node probes.
+TEST(FailoverTest, HomeAndOwnerDeathHarvestsReadCopyAtPromotion) {
+  for (NodeId holder_node : {2, 3}) {
+    const NodeId prober_node = holder_node == 2 ? 3 : 2;
+    MachineConfig config;
+    config.nodes = 4;
+    config.dsm = DsmKind::kAsvm;
+    config.fault.removals.push_back({0, 200 * kMillisecond});
+    config.fault.removals.push_back({1, 200 * kMillisecond});
+    config.retry.timeout_ns = 2 * kMillisecond;
+    config.failover.enabled = true;
+    config.failover.lease_ns = 50 * kMillisecond;
+    config.stall_watchdog = true;
+    Machine machine(config);
+
+    MemObjectId region = machine.CreateSharedRegion(1, 2);
+    TaskMemory& doomed = machine.MapRegion(0, region);
+    TaskMemory& holder = machine.MapRegion(holder_node, region);
+    TaskMemory& prober = machine.MapRegion(prober_node, region);
+
+    SyncWrite(machine, doomed, 0, 42);             // node 0 owns the page
+    EXPECT_EQ(SyncRead(machine, holder, 0), 42u);  // the holder reads a copy
+    ASSERT_LT(machine.Now(), 200 * kMillisecond);
+
+    AdvancePast(machine, 260 * kMillisecond);
+
+    EXPECT_EQ(SyncRead(machine, prober, 0), 42u)
+        << "holder " << holder_node << ": committed page lost with home and owner";
+    EXPECT_GE(machine.stats().Get(kStatPromotions), 1) << "holder " << holder_node;
+    EXPECT_GE(machine.stats().Get(kStatReconstructedPages), 1) << "holder " << holder_node;
+    EXPECT_EQ(machine.stats().Get(kStatLeaseReclaims), 0) << "holder " << holder_node;
+    EXPECT_EQ(machine.stats().Get("sim.stalls_detected"), 0)
+        << "holder " << holder_node << "\n" << machine.last_stall_report();
+
+    SyncWrite(machine, prober, 0, 43);
+    EXPECT_EQ(SyncRead(machine, holder, 0), 43u) << "holder " << holder_node;
+  }
+}
+
 // Committed-and-lost: written-back pages whose home, shadow backup, and writer
 // all die must answer Status::kDataLost — never zeros — because the surviving
 // manifest witness proves a commit happened. (ReadU64 CHECK-crashes on a

@@ -46,10 +46,11 @@ TEST(FaultPlanTest, JitterIsSeededAndBounded) {
   params.max_jitter_ns = 150 * kMicrosecond;
 
   Engine engine;
-  FaultPlan a(engine, params, 4, nullptr);
-  FaultPlan b(engine, params, 4, nullptr);
+  StatsRegistry stats;
+  FaultPlan a(engine, params, 4, stats);
+  FaultPlan b(engine, params, 4, stats);
   params.seed = 6;
-  FaultPlan c(engine, params, 4, nullptr);
+  FaultPlan c(engine, params, 4, stats);
 
   bool diverged = false;
   for (int i = 0; i < 64; ++i) {
@@ -67,7 +68,8 @@ TEST(FaultPlanTest, RemovalSeversTheNodeAtItsTime) {
   params.removals.push_back({2, 100});
 
   Engine engine;
-  FaultPlan plan(engine, params, 4, nullptr);
+  StatsRegistry stats;
+  FaultPlan plan(engine, params, 4, stats);
   EXPECT_TRUE(plan.NodeAlive(2));
   EXPECT_TRUE(plan.Delivers(0, 2));
 
@@ -85,7 +87,8 @@ TEST(FaultPlanTest, LinkDegradationMatchesWildcardAndPairs) {
   params.degraded_links.push_back({1, 3, 0.5});
 
   Engine engine;
-  FaultPlan plan(engine, params, 4, nullptr);
+  StatsRegistry stats;
+  FaultPlan plan(engine, params, 4, stats);
   EXPECT_DOUBLE_EQ(plan.LinkBandwidthFactor(0, 3), 0.25);
   EXPECT_DOUBLE_EQ(plan.LinkBandwidthFactor(2, 0), 0.25);
   EXPECT_DOUBLE_EQ(plan.LinkBandwidthFactor(1, 3), 0.5);

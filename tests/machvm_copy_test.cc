@@ -12,7 +12,8 @@ namespace {
 
 class CopyTest : public ::testing::Test {
  protected:
-  CopyTest() : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 256, .costs = {}}, &stats_) {}
+  CopyTest()
+      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 256, .costs = {}}, stats_) {}
 
   uint64_t ReadAt(VmMap& map, VmOffset addr) {
     TaskMemory mem(vm_, map);

@@ -31,7 +31,7 @@ class NullPager : public Pager {
 class EmmiMatrixTest : public ::testing::Test {
  protected:
   EmmiMatrixTest()
-      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 64, .costs = {}}, &stats_) {}
+      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 64, .costs = {}}, stats_) {}
 
   PageBuffer MakePage(uint64_t value) {
     auto page = AllocPage(4096);
@@ -147,8 +147,9 @@ TEST_F(EmmiMatrixTest, PullResultMatrix) {
 
 TEST_F(EmmiMatrixTest, PullFindsPagedOutData) {
   // A page evicted to paging space must still be pullable.
-  Disk disk(engine_, DiskParams{}, &stats_);
-  DefaultPager pager(engine_, &disk, &stats_);
+  TraceSink trace;
+  Disk disk(engine_, 0, DiskParams{}, stats_, trace);
+  DefaultPager pager(engine_, &disk, stats_);
   vm_.SetDefaultPager(&pager);
   auto obj = vm_.CreateObject(2);
   vm_.DataSupply(*obj, 0, MakePage(31), PageAccess::kWrite);

@@ -9,9 +9,11 @@ namespace {
 
 class VmMapTest : public ::testing::Test {
  protected:
-  VmMapTest() : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 64, .costs = {}}, nullptr) {}
+  VmMapTest()
+      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 64, .costs = {}}, stats_) {}
 
   Engine engine_;
+  StatsRegistry stats_;
   NodeVm vm_;
 };
 

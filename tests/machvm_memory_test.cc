@@ -14,7 +14,7 @@ namespace {
 class TaskMemoryTest : public ::testing::Test {
  protected:
   TaskMemoryTest()
-      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 128, .costs = {}}, &stats_) {
+      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 128, .costs = {}}, stats_) {
     map_ = vm_.CreateMap();
     object_ = vm_.CreateObject(16);
     EXPECT_EQ(map_->Map(0, 16, object_, 0, Inheritance::kCopy), Status::kOk);

@@ -54,7 +54,7 @@ class FakePager : public Pager {
 class ManagedObjectTest : public ::testing::Test {
  protected:
   ManagedObjectTest()
-      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 16, .costs = {}}, &stats_) {
+      : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 16, .costs = {}}, stats_) {
     object_ = vm_.CreateObject(8, CopyStrategy::kAsymmetric);
     vm_.RegisterManaged(object_, MemObjectId{0, 1}, &pager_);
     map_ = vm_.CreateMap();

@@ -18,9 +18,9 @@ namespace {
 class PagingTest : public ::testing::Test {
  protected:
   PagingTest()
-      : disk_(engine_, DiskParams{}, &stats_),
-        pager_(engine_, &disk_, &stats_),
-        vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 8, .costs = {}}, &stats_) {
+      : disk_(engine_, 0, DiskParams{}, stats_, trace_),
+        pager_(engine_, &disk_, stats_),
+        vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 8, .costs = {}}, stats_) {
     vm_.SetDefaultPager(&pager_);
   }
 
@@ -42,6 +42,7 @@ class PagingTest : public ::testing::Test {
 
   Engine engine_;
   StatsRegistry stats_;
+  TraceSink trace_;
   Disk disk_;
   DefaultPager pager_;
   NodeVm vm_;
@@ -138,7 +139,9 @@ TEST_F(PagingTest, PageInChargesDiskLatency) {
 
 TEST(DiskTest, RandomAccessPaysSeek) {
   Engine engine;
-  Disk disk(engine, DiskParams{}, nullptr);
+  StatsRegistry stats;
+  TraceSink trace;
+  Disk disk(engine, 0, DiskParams{}, stats, trace);
   SimTime done1 = 0;
   disk.Read(100, 8192, [&]() { done1 = engine.Now(); });
   engine.Run();
@@ -147,7 +150,9 @@ TEST(DiskTest, RandomAccessPaysSeek) {
 
 TEST(DiskTest, SequentialAccessSkipsSeek) {
   Engine engine;
-  Disk disk(engine, DiskParams{}, nullptr);
+  StatsRegistry stats;
+  TraceSink trace;
+  Disk disk(engine, 0, DiskParams{}, stats, trace);
   SimTime first = 0;
   SimTime second = 0;
   disk.Read(100, 8192, [&]() { first = engine.Now(); });
@@ -159,7 +164,9 @@ TEST(DiskTest, SequentialAccessSkipsSeek) {
 
 TEST(DiskTest, OperationsSerialize) {
   Engine engine;
-  Disk disk(engine, DiskParams{}, nullptr);
+  StatsRegistry stats;
+  TraceSink trace;
+  Disk disk(engine, 0, DiskParams{}, stats, trace);
   std::vector<SimTime> done;
   for (int i = 0; i < 3; ++i) {
     disk.Write(i * 50, 8192, [&]() { done.push_back(engine.Now()); });
@@ -173,8 +180,10 @@ TEST(DiskTest, OperationsSerialize) {
 
 TEST(DefaultPagerTest, RoundTripPreservesData) {
   Engine engine;
-  Disk disk(engine, DiskParams{}, nullptr);
-  DefaultPager pager(engine, &disk, nullptr);
+  StatsRegistry stats;
+  TraceSink trace;
+  Disk disk(engine, 0, DiskParams{}, stats, trace);
+  DefaultPager pager(engine, &disk, stats);
   auto page = AllocPage(4096);
   (*page)[0] = std::byte{0xAB};
   EXPECT_FALSE(pager.HasPage(1, 0));
@@ -191,8 +200,10 @@ TEST(DefaultPagerTest, RoundTripPreservesData) {
 
 TEST(DefaultPagerTest, DropForgetsPage) {
   Engine engine;
-  Disk disk(engine, DiskParams{}, nullptr);
-  DefaultPager pager(engine, &disk, nullptr);
+  StatsRegistry stats;
+  TraceSink trace;
+  Disk disk(engine, 0, DiskParams{}, stats, trace);
+  DefaultPager pager(engine, &disk, stats);
   pager.WritePage(1, 0, AllocPage(4096));
   EXPECT_EQ(pager.stored_pages(), 1u);
   pager.Drop(1, 0);
@@ -202,10 +213,13 @@ TEST(DefaultPagerTest, DropForgetsPage) {
 
 class FilePagerTest : public ::testing::Test {
  protected:
-  FilePagerTest() : disk_(engine_, DiskParams{}, nullptr),
-                    pager_(engine_, 0, &disk_, FilePagerParams{}, nullptr) {}
+  FilePagerTest()
+      : disk_(engine_, 0, DiskParams{}, stats_, trace_),
+        pager_(engine_, 0, &disk_, FilePagerParams{}, stats_) {}
 
   Engine engine_;
+  StatsRegistry stats_;
+  TraceSink trace_;
   Disk disk_;
   FilePager pager_;
 };
@@ -268,8 +282,8 @@ TEST_F(FilePagerTest, ReadAheadClustersDiskAccesses) {
   // disk operations instead of 32, and the staged pages serve from memory.
   FilePagerParams params;
   params.readahead_pages = 7;
-  Disk disk(engine_, DiskParams{}, nullptr);
-  FilePager pager(engine_, 0, &disk, params, nullptr);
+  Disk disk(engine_, 0, DiskParams{}, stats_, trace_);
+  FilePager pager(engine_, 0, &disk, params, stats_);
   int32_t f = pager.CreateFile("ra", 32, /*prefilled=*/true);
   for (int p = 0; p < 32; ++p) {
     PageBuffer got;

@@ -66,9 +66,10 @@ MeshRecord Record(NodeId src, NodeId dst, size_t bytes, SimTime send_time = 0) {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : network_(Topology(4, 4), MeshParams{}, &stats_) {}
+  NetworkTest() : network_(Topology(4, 4), MeshParams{}, stats_, trace_) {}
 
   StatsRegistry stats_;
+  TraceSink trace_;
   Network network_;
 };
 
@@ -84,7 +85,7 @@ TEST_F(NetworkTest, DeliversAtModeledTime) {
   EXPECT_EQ(network_.ProcessRecord(Record(0, 15, 8192)),
             network_.UncontendedLatency(0, 15, 8192));
   // A later send time shifts the delivery by exactly that much.
-  Network fresh(Topology(4, 4), MeshParams{}, &stats_);
+  Network fresh(Topology(4, 4), MeshParams{}, stats_, trace_);
   EXPECT_EQ(fresh.ProcessRecord(Record(0, 15, 8192, 1000)),
             1000 + fresh.UncontendedLatency(0, 15, 8192));
 }
@@ -142,7 +143,8 @@ TEST_F(NetworkTest, FartherNodesTakeLonger) {
 
 TEST(NetworkDeathTest, LocalSendRejected) {
   StatsRegistry stats;
-  Network network(Topology(2, 2), MeshParams{}, &stats);
+  TraceSink trace;
+  Network network(Topology(2, 2), MeshParams{}, stats, trace);
   EXPECT_DEATH(network.ProcessRecord(Record(1, 1, 32)), "local delivery");
 }
 

@@ -209,53 +209,5 @@ TEST(SemaphoreTest, BlockedCountTracksWaiters) {
   EXPECT_TRUE(t.done());
 }
 
-Task BarrierParty(Engine& engine, SimBarrier& barrier, SimDuration arrive_at,
-                  std::vector<SimTime>* log) {
-  co_await Delay(engine, arrive_at);
-  co_await barrier.Arrive();
-  log->push_back(engine.Now());
-}
-
-TEST(BarrierTest, AllPartiesReleaseTogether) {
-  Engine engine;
-  SimBarrier barrier(engine, 3);
-  std::vector<SimTime> released;
-  Task a = BarrierParty(engine, barrier, 10, &released);
-  Task b = BarrierParty(engine, barrier, 50, &released);
-  Task c = BarrierParty(engine, barrier, 90, &released);
-  engine.Run();
-  ASSERT_EQ(released.size(), 3u);
-  for (SimTime t : released) {
-    EXPECT_EQ(t, 90);  // everyone waits for the last arrival
-  }
-  EXPECT_TRUE(a.done() && b.done() && c.done());
-}
-
-TEST(BarrierTest, ReusableAcrossRounds) {
-  Engine engine;
-  SimBarrier barrier(engine, 2);
-  std::vector<SimTime> released;
-  auto round_trip = [&](SimDuration d1, SimDuration d2) {
-    Task a = BarrierParty(engine, barrier, d1, &released);
-    Task b = BarrierParty(engine, barrier, d2, &released);
-    engine.Run();
-  };
-  round_trip(5, 10);
-  round_trip(1, 2);
-  ASSERT_EQ(released.size(), 4u);
-  EXPECT_EQ(released[0], 10);
-  EXPECT_EQ(released[1], 10);
-}
-
-TEST(BarrierTest, SinglePartyNeverBlocks) {
-  Engine engine;
-  SimBarrier barrier(engine, 1);
-  std::vector<SimTime> released;
-  Task a = BarrierParty(engine, barrier, 5, &released);
-  engine.Run();
-  ASSERT_EQ(released.size(), 1u);
-  EXPECT_TRUE(a.done());
-}
-
 }  // namespace
 }  // namespace asvm

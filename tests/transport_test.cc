@@ -42,8 +42,8 @@ class TransportTest : public ::testing::Test {
   }
 
   Cluster cluster_;
-  StsTransport& sts_;
-  NormaIpc& norma_;
+  Transport& sts_;
+  Transport& norma_;
 };
 
 TEST_F(TransportTest, DeliversBodyToRegisteredHandler) {
