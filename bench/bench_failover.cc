@@ -77,7 +77,7 @@ FailoverLatencies MeasureFailover(DsmKind kind, const char* profile) {
 
   SimTime last_removal = 0;
   SimTime last_restore = 0;
-  for (const auto& removal : machine.fault_plan()->params().removals) {
+  for (const auto& removal : machine.fault_plan().params().removals) {
     last_removal = std::max(last_removal, removal.at);
     last_restore = std::max(last_restore, removal.restore_at);
   }
@@ -151,7 +151,7 @@ DeathNoticeLatency MeasureDeathNotice(DsmKind kind, bool notices_on) {
 
   SimTime kill_at = 0;
   NodeId victim = kHomeNode;
-  for (const auto& removal : machine.fault_plan()->params().removals) {
+  for (const auto& removal : machine.fault_plan().params().removals) {
     if (removal.at >= kill_at) {
       kill_at = removal.at;
       victim = static_cast<NodeId>(removal.node);

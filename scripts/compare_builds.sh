@@ -11,7 +11,9 @@
 #     3 backends x shards {1, 4};
 #   - --trace-json x 3 backends: fault-sweep healthy, kill-manager, kill-owner
 #     and rolling-restart; file-read and fork-chain healthy;
-#   - the --json output of five paper benches.
+#   - the --json output of ten paper benches: Tables 1 and 2, Figs 10 and 11,
+#     failover, striping, and the forwarding, transport, paging and metadata
+#     ablations.
 # Log lines carry a "[W file.cc:LINE]" tag that moves whenever code moves, even
 # between files, so the whole tag is stripped before diffing; the message text
 # itself must match. Prints one line per differing cell and exits 1 if any
@@ -91,7 +93,9 @@ for dsm in asvm xmm ivy; do
 done
 
 for bench in bench_table1_fault_latency bench_table2_file_transfer \
-  bench_fig10_write_fault_scaling bench_fig11_copy_chain bench_failover; do
+  bench_fig10_write_fault_scaling bench_fig11_copy_chain bench_failover bench_ext_striping \
+  bench_ablation_forwarding bench_ablation_transport bench_ablation_paging \
+  bench_ablation_metadata; do
   cells=$((cells + 1))
   "$parent/bench/$bench" --json="$work/parent.json" > /dev/null 2>&1
   "$change/bench/$bench" --json="$work/change.json" > /dev/null 2>&1

@@ -490,7 +490,7 @@ void AsvmAgent::SendToTerminal(AccessRequest req) {
   }
   // The forwarding terminal is confirmed removed: promote its backup at the
   // next sequencing point, then resume toward the (now alive) new terminal.
-  system_.cluster().mutator().Enqueue(node_, [this, req]() {
+  system_.cluster().Mutate(node_, [this, req]() {
     system_.PromoteIfHomeDead(req.search);
     engine().Post([this, req]() mutable { SendToTerminal(std::move(req)); });
   });

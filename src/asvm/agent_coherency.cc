@@ -360,7 +360,7 @@ void AsvmAgent::HandleAtTerminal(AccessRequest req) {
       // surviving read copy into the recovered overlay — it reads and edits
       // other kernels' page tables, so it runs as a cluster mutation; the
       // request is re-handled once the reclaim has applied.
-      system_.cluster().mutator().Enqueue(node_, [this, req]() {
+      system_.cluster().Mutate(node_, [this, req]() {
         system_.ReclaimDeadOwnerPage(req.search, req.page);
         engine().Post([this, req]() mutable { HandleAtTerminal(std::move(req)); });
       });

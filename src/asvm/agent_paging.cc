@@ -151,7 +151,7 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
       // backup at the next sequencing point and return the contents there,
       // so they survive the failover.
       Promise<Status> promoted(vm_.engine());
-      system_.cluster().mutator().Enqueue(node_, [this, id, promoted]() {
+      system_.cluster().Mutate(node_, [this, id, promoted]() {
         system_.PromoteIfHomeDead(id);
         vm_.engine().Post([promoted]() { promoted.Set(Status::kOk); });
       });
@@ -324,9 +324,6 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
     // The pushed page now lives in the copy object on this node; claim its
     // ownership in the copy space so scans and requests find it.
     ObjectState& cs = obj_state(info.newest_copy);
-    if (cs.repr == nullptr || vm_.FindManaged(info.newest_copy) == nullptr) {
-      // The copy object may still be a plain local object; state only.
-    }
     PageState& cps = page_state(cs, page);
     if (!cps.owner) {
       cps.owner = true;

@@ -185,7 +185,7 @@ Task AsvmSystem::RemoteForkTask(NodeId src, VmMap& parent, NodeId dst, Promise<V
   auto ro_done = std::make_shared<ClusterWaitGroup>(cluster_);
   Promise<VmMap*> built(engine);
   VmMap* parent_ptr = &parent;
-  cluster_.mutator().Enqueue(src, [this, src, parent_ptr, dst, ro_done, built]() {
+  cluster_.Mutate(src, [this, src, parent_ptr, dst, ro_done, built]() {
     built.Set(ApplyRemoteFork(src, *parent_ptr, dst, *ro_done));
   });
   VmMap* child = co_await built.GetFuture();
@@ -263,10 +263,10 @@ ProtocolAgent& AsvmSystem::protocol_agent(NodeId node) { return agent(node); }
 
 void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
   cluster_.AssertDriverQuiescent("ASVM promotion from inside a shard window");
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
   AsvmObjectInfo& obj = info(id);
-  if (plan == nullptr || obj.IsCopy()) {
+  if (obj.IsCopy()) {
     // Copy objects are out of failover scope: their peer holds unreplicated
     // VM shadow links that cannot be reconstructed from surviving state.
     return;
@@ -284,7 +284,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
   // storage survives, so only the forwarding role transfers.
   std::vector<std::pair<NodeId, NodeId>> moves;  // old home -> new home
   auto move_home = [&](NodeId& home) {
-    if (plan->NodeAlive(home, now)) {
+    if (plan.NodeAlive(home, now)) {
       return;  // an earlier mutation this barrier already promoted (idempotent)
     }
     const NodeId next = RingSuccessor(home, cluster_.node_count(), plan, now);
@@ -339,7 +339,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
     hs.lost.erase(p);
   }
   for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (!plan->NodeAlive(n, now)) {
+    if (!plan.NodeAlive(n, now)) {
       continue;
     }
     AsvmAgent::ObjectState* os = agent(n).FindObjState(id);
@@ -391,7 +391,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
                                (rp0 != nullptr && rp0->data != nullptr);
       ShadowStream::Page* best = nullptr;
       for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-        if (have_source || !plan->NodeAlive(n, now)) {
+        if (have_source || !plan.NodeAlive(n, now)) {
           continue;
         }
         ShadowStream::Store& store = agent(n).shadow().backup_store();
@@ -415,7 +415,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
         cluster_.stats().Add(kStatReconstructedPages);
       }
       for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-        if (!plan->NodeAlive(n, now)) {
+        if (!plan.NodeAlive(n, now)) {
           continue;
         }
         ShadowStream::Store& store = agent(n).shadow().backup_store();
@@ -478,7 +478,7 @@ void AsvmSystem::PromoteIfHomeDead(const MemObjectId& id) {
 void AsvmSystem::ColdRestart(NodeId node) {
   cluster_.AssertDriverQuiescent("ASVM cold restart from inside a shard window");
   cluster_.stats().Add(kStatRestarts);
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
   AsvmAgent& a = agent(node);
   NodeVm& vm = cluster_.vm(node);
@@ -495,7 +495,7 @@ void AsvmSystem::ColdRestart(NodeId node) {
         return;
       }
       const NodeId term = obj.Terminal(p);
-      if (term == node || (plan != nullptr && !plan->NodeAlive(term, now))) {
+      if (term == node || !plan.NodeAlive(term, now)) {
         return;
       }
       AsvmAgent::ObjectState* tos = agent(term).FindObjState(id);
@@ -545,14 +545,11 @@ void AsvmSystem::ColdRestart(NodeId node) {
 
 void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {
   cluster_.AssertDriverQuiescent("ASVM lease reclaim from inside a shard window");
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
-  if (plan == nullptr) {
-    return;
-  }
   AsvmObjectInfo& obj = info(id);
   const NodeId term = obj.Terminal(page);
-  if (!plan->NodeAlive(term, now)) {
+  if (!plan.NodeAlive(term, now)) {
     return;  // the terminal itself is dead; promotion owns this recovery
   }
   AsvmAgent& home = agent(term);
@@ -565,10 +562,10 @@ void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {
     return;  // already reclaimed (idempotent): the serve path takes over
   }
   const NodeId owner = hp->last_owner;
-  if (owner == kInvalidNode || plan->NodeAlive(owner, now)) {
+  if (owner == kInvalidNode || plan.NodeAlive(owner, now)) {
     return;  // owner rejoined between enqueue and apply — not reclaimable
   }
-  const SimTime since = plan->RemovedSince(owner, now);
+  const SimTime since = plan.RemovedSince(owner, now);
   if (since < 0 || now < since + cluster_.params().failover.lease_ns) {
     return;  // lease still running; the caller re-handles and waits again
   }
@@ -583,12 +580,12 @@ void AsvmSystem::ReclaimDeadOwnerPage(const MemObjectId& id, PageIndex page) {
 }
 
 void AsvmSystem::HarvestReadCopy(const MemObjectId& id, PageIndex page, NodeId terminal) {
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
   PageBuffer best;
   uint64_t best_version = 0;
   for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (!plan->NodeAlive(n, now)) {
+    if (!plan.NodeAlive(n, now)) {
       continue;
     }
     AsvmAgent::ObjectState* ros = agent(n).FindObjState(id);

@@ -187,7 +187,7 @@ class AsvmSystem : public DsmSystem {
   Task RemoteForkTask(NodeId src, VmMap& parent, NodeId dst, Promise<VmMap*> done);
   // The structural half of a fork — directory inserts, child map build, copy
   // registration, read-only broadcast launch. Runs as ONE cluster mutation at
-  // a deterministic sequencing point (src/dsm/cluster_mutator.h), so sharded
+  // a deterministic sequencing point (Cluster::Mutate), so sharded
   // runs fork byte-identically to single-threaded ones.
   VmMap* ApplyRemoteFork(NodeId src, VmMap& parent, NodeId dst, ClusterWaitGroup& ro_done);
 

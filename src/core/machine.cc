@@ -52,23 +52,21 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
       break;
   }
   if (config.failover.enabled) {
-    if (FaultPlan* plan = cluster_->fault_plan(); plan != nullptr) {
-      for (const NodeRemoval& r : plan->params().removals) {
-        if (r.restore_at == 0) {
-          continue;
-        }
-        // One-shot rejoin wake on the node's own engine (removal only severs
-        // the fabric; the engine keeps running), from where the cold restart
-        // enqueues as a mutation exactly like any other origin-side request.
-        const NodeId node = r.node;
-        cluster_->engine_for(node).Schedule(r.restore_at, [this, node]() {
-          cluster_->mutator().Enqueue(node, [this, node]() { dsm_->ColdRestart(node); });
-        });
+    for (const NodeRemoval& r : cluster_->fault_plan().params().removals) {
+      if (r.restore_at == 0) {
+        continue;
       }
+      // One-shot rejoin wake on the node's own engine (removal only severs
+      // the fabric; the engine keeps running), from where the cold restart
+      // is posted as a mutation exactly like any other origin-side request.
+      const NodeId node = r.node;
+      cluster_->engine_for(node).Schedule(r.restore_at, [this, node]() {
+        cluster_->Mutate(node, [this, node]() { dsm_->ColdRestart(node); });
+      });
     }
   }
   if (config.stall_watchdog || !config.fault.Empty()) {
-    cluster_->engine().SetStallHandler([this](const std::string& report) {
+    cluster_->SetStallHandler([this](const std::string& report) {
       last_stall_report_ = report;
       cluster_->stats().Add("sim.stalls_detected");
       ASVM_LOG_ERROR << report;

@@ -86,9 +86,9 @@ struct MachineConfig {
   // Requires an armed retry policy to detect silence; promotions and cold
   // restarts run as cluster mutations.
   FailoverConfig failover;
-  // Install the sim-engine stall watchdog (implied whenever `fault` is
-  // non-empty): when the event queue drains while work is still blocked, the
-  // machine captures a diagnostic report instead of silently returning.
+  // Install the cluster's stall watchdog (implied whenever `fault` is
+  // non-empty): when the machine drains while work is still blocked, it
+  // captures a diagnostic report instead of silently returning.
   bool stall_watchdog = false;
 
   ClusterParams ToClusterParams() const;
@@ -156,8 +156,8 @@ class Machine {
 
   // --- Fault injection & stall diagnostics -------------------------------------
 
-  // Active fault plan, or nullptr when faults are disabled.
-  FaultPlan* fault_plan() { return cluster_->fault_plan(); }
+  // The machine's fault plan; empty params when faults are disabled.
+  FaultPlan& fault_plan() { return cluster_->fault_plan(); }
 
   // Diagnostic report from the most recent stall the watchdog detected
   // (empty if none). Also counted under the "sim.stalls_detected" stat.

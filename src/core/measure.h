@@ -18,8 +18,8 @@ SimDuration AwaitLatency(Machine& machine, const Future<T>& f) {
   const SimTime start = machine.Now();
   while (!f.ready()) {
     // Cluster-level emptiness: shard 0's queue alone being drained does not
-    // mean the operation is stuck — another shard, an outbox or the replay
-    // heap may still carry the completion.
+    // mean the operation is stuck — another shard or a mailbox may still
+    // carry the completion.
     ASVM_CHECK_MSG(!machine.cluster().Empty(), "operation can never complete");
     machine.RunFor(5 * kMicrosecond);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/common/log.h"
@@ -27,32 +28,21 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   const int blocks = (params_.node_count + params_.nodes_per_io_group - 1) /
                      params_.nodes_per_io_group;
   params_.shards = std::min(params_.shards, blocks);
-  outboxes_.resize(static_cast<size_t>(params_.shards));
-  record_seq_.assign(static_cast<size_t>(params_.node_count), 0);
   engines_ = std::make_unique<ShardedEngine>(params_.shards, params_.node_count,
                                              params_.nodes_per_io_group, params_.scheduler);
-  for (int s = 0; s < params_.shards; ++s) {
-    // Shard queues drain many times per window while work legitimately waits
-    // on outboxed messages or pending mutations; the real stall check runs
-    // once, at the final drain of Cluster::Run/RunFor.
-    engines_->shard(s).set_defer_stall_checks(true);
-  }
+  messages_ = std::make_unique<ShardMailbox<MeshRecord>>(*engines_);
+  mutations_ = std::make_unique<ShardMailbox<EventFn>>(*engines_);
   Engine& root = engine();
 
+  fault_plan_ = std::make_unique<FaultPlan>(root, params_.fault, params_.node_count, stats_);
   network_ = std::make_unique<Network>(Topology::ForNodeCount(params_.node_count), params_.mesh,
-                                       stats_, trace_sink_);
-  sts_ = std::make_unique<Transport>(*engines_, outboxes_, "sts", StsCosts(), stats_, trace_sink_);
-  sts_ctl_ = std::make_unique<Transport>(*engines_, outboxes_, "sts_ctl", StsCtlCosts(), stats_,
-                                         trace_sink_);
-  norma_ = std::make_unique<Transport>(*engines_, outboxes_, "norma", NormaIpcCosts(), stats_,
-                                       trace_sink_);
-  if (!params_.fault.Empty()) {
-    fault_plan_ = std::make_unique<FaultPlan>(root, params_.fault, params_.node_count, stats_);
-    network_->set_fault_plan(fault_plan_.get());
-    sts_->set_fault_plan(fault_plan_.get());
-    sts_ctl_->set_fault_plan(fault_plan_.get());
-    norma_->set_fault_plan(fault_plan_.get());
-  }
+                                       *fault_plan_, stats_, trace_sink_);
+  sts_ = std::make_unique<Transport>(*engines_, *messages_, "sts", StsCosts(), *fault_plan_,
+                                     stats_, trace_sink_);
+  sts_ctl_ = std::make_unique<Transport>(*engines_, *messages_, "sts_ctl", StsCtlCosts(),
+                                         *fault_plan_, stats_, trace_sink_);
+  norma_ = std::make_unique<Transport>(*engines_, *messages_, "norma", NormaIpcCosts(),
+                                       *fault_plan_, stats_, trace_sink_);
 
   // Conservative lookahead: the cheapest causal chain from an event on one
   // node to an event on any other node is a software send on the cheapest
@@ -79,10 +69,6 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   }
   lookahead_ = min_send_sw_ + params_.mesh.route_setup_ns + params_.mesh.per_hop_ns;
   ASVM_CHECK_MSG(lookahead_ >= 1, "sharded lookahead collapsed to zero");
-  // Cluster mutations ride the same conservative bound as cross-shard
-  // messages: enqueued at t, applied at t + lookahead, when every engine is
-  // provably quiescent at the apply time.
-  mutator_ = std::make_unique<ClusterMutator>(*engines_, lookahead_, stats_);
 
   const int groups = (params_.node_count + params_.nodes_per_io_group - 1) /
                      params_.nodes_per_io_group;
@@ -112,11 +98,9 @@ Cluster::Cluster(ClusterParams params) : params_(params) {
   }
 
   // Stall-watchdog probe: page faults whose coroutine is still alive when the
-  // event queue drains are blocked forever (nothing outside the queue can
-  // resume them). Inert unless a stall handler is installed on the engine.
-  // Registered on the root engine; it only fires from ForceStallCheck at the
-  // final global drain, when every shard is quiescent.
-  root.AddStallProbe([this](std::string& report) {
+  // machine drains are blocked forever (nothing outside the queues can resume
+  // them). Inert unless a stall handler is installed.
+  AddStallProbe([this](std::string& report) {
     bool blocked = false;
     for (const auto& node : nodes_) {
       const auto& faults = node.vm->faults_in_flight();
@@ -143,28 +127,34 @@ void Cluster::EnablePerTypeMessageStats() {
 }
 
 bool Cluster::Empty() const {
-  if (!mutator_->Idle() || !pending_.empty()) {
-    return false;
-  }
-  for (const auto& outbox : outboxes_) {
-    if (!outbox.empty()) {
-      return false;
-    }
-  }
-  return engines_->AllEmpty();
+  return mutations_->Empty() && messages_->Empty() && engines_->AllEmpty();
 }
 
-void Cluster::CollectOutbox(std::vector<MeshRecord>& outbox) {
-  for (MeshRecord& r : outbox) {
-    PendingRecord pr;
-    pr.send_time = r.send_time;
-    // One shard thread emits a node's records in that node's causal order,
-    // so a per-node counter assigned in drain order reproduces it.
-    pr.seq = ++record_seq_[r.src];
-    pr.record = std::move(r);
-    pending_.push(std::move(pr));
+int Cluster::AddStallProbe(StallProbe probe) {
+  const int id = next_stall_probe_id_++;
+  stall_probes_.emplace_back(id, std::move(probe));
+  return id;
+}
+
+void Cluster::RemoveStallProbe(int id) {
+  std::erase_if(stall_probes_, [id](const auto& entry) { return entry.first == id; });
+}
+
+void Cluster::CheckStall() {
+  if (!stall_handler_) {
+    return;
   }
-  outbox.clear();
+  std::string report;
+  bool blocked = false;
+  for (auto& [id, probe] : stall_probes_) {
+    blocked |= probe(report);
+  }
+  if (!blocked) {
+    return;
+  }
+  ++stalls_detected_;
+  stall_handler_("simulation stalled at t=" + std::to_string(Now()) +
+                 " ns: event queue drained while work is still blocked\n" + report);
 }
 
 void Cluster::SyncClocks(SimTime time) {
@@ -173,41 +163,50 @@ void Cluster::SyncClocks(SimTime time) {
   }
 }
 
-SimTime Cluster::ProcessPending() {
-  // Replays every record whose send time is safely below the conservative
+SimTime Cluster::ReplayMessages() {
+  // Replays every message whose send time is safely below the conservative
   // horizon N0 + min_send_sw_: any event still pending on any shard fires at
-  // or after N0, so any record it might yet emit stamps send_time >= that
-  // horizon — nothing can slot in front of the records replayed here, and the
-  // fabric's endpoint busy channels update in exactly the canonical
+  // or after N0, so any message it might yet send stamps send_time >= that
+  // horizon — nothing can slot in front of the messages replayed here, and
+  // the fabric's endpoint busy channels update in exactly the canonical
   // (send_time, src, seq) order. Injected deliveries can become the new
-  // earliest event, so the horizon is re-tightened as records land.
+  // earliest event, so the horizon is re-tightened as messages land.
+  // With no event pending the horizon saturates, and every message replays.
   SimTime n0 = engines_->MinNextTime();
-  while (!pending_.empty()) {
-    if (n0 != ShardedEngine::kNoEvent &&
-        pending_.top().send_time >= SatAdd(n0, min_send_sw_)) {
-      break;
-    }
-    PendingRecord rec = std::move(const_cast<PendingRecord&>(pending_.top()));
-    pending_.pop();
+  while (messages_->NextTime() < SatAdd(n0, min_send_sw_)) {
+    ShardMailbox<MeshRecord>::Entry m = messages_->Pop();
     records_replayed_.Add(stats_, "sim.sharded.records_replayed");
-    const SimTime rx_done = network_->ProcessRecord(rec.record);
+    const SimTime rx_done = network_->Admit(m.time, m.src, m.value.dst, m.value.bytes);
     if (rx_done >= 0) {
-      engine_for(rec.record.dst).ScheduleAt(rx_done, std::move(rec.record.deliver));
+      engine_for(m.value.dst).ScheduleAt(rx_done, std::move(m.value.deliver));
       n0 = std::min(n0, rx_done);
     }
   }
   return n0;
 }
 
+SimTime Cluster::NextMutationTime() const {
+  return SatAdd(mutations_->NextTime(), lookahead_);
+}
+
+void Cluster::ApplyMutations(SimTime when) {
+  ASVM_CHECK_MSG(NextMutationTime() >= when, "mutation missed its apply time");
+  while (NextMutationTime() == when) {
+    ShardMailbox<EventFn>::Entry m = mutations_->Pop();
+    mutations_applied_.Add(stats_, "sim.mutations_applied");
+    m.value();
+  }
+}
+
 bool Cluster::DrainSharded(SimTime until) {
   for (;;) {
-    CollectOutboxes();
-    mutator_->Collect();
-    const SimTime n0 = ProcessPending();
-    const SimTime m = mutator_->NextApplyTime();
-    if (n0 == ShardedEngine::kNoEvent && m == ClusterMutator::kNever) {
-      // ProcessPending replays everything once all queues are empty.
-      ASVM_CHECK_MSG(pending_.empty(), "drained with records still pending");
+    messages_->Collect();
+    mutations_->Collect();
+    const SimTime n0 = ReplayMessages();
+    const SimTime m = NextMutationTime();
+    if (n0 == ShardedEngine::kNoEvent && m == ShardMailbox<EventFn>::kNever) {
+      // ReplayMessages replays everything once all queues are empty.
+      ASVM_CHECK_MSG(messages_->Empty(), "drained with messages still pending");
       // A drained engine's clock stops at its own last event, so the shard
       // clocks have diverged. The single-threaded timeline this run must
       // reproduce has ONE clock: re-synchronize every shard to the global
@@ -215,7 +214,7 @@ bool Cluster::DrainSharded(SimTime until) {
       // instant on every node (otherwise a lagging shard could send a message
       // whose arrival lands in a faster shard's past).
       SyncClocks(engines_->MaxNow());
-      engines_->shard(0).ForceStallCheck();
+      CheckStall();
       return true;
     }
     if (std::min(n0, m) > until) {
@@ -226,11 +225,11 @@ bool Cluster::DrainSharded(SimTime until) {
     }
     if (m <= n0) {
       // Mutation sequencing point: every engine is quiescent strictly before
-      // m (windows are capped at m - 1 below) and no un-replayed record can
+      // m (windows are capped at m - 1 below) and no un-replayed message can
       // deliver before n0 + min_send_sw > m, so advancing all clocks to m is
       // safe. Mutations at m apply before any engine event at m.
       SyncClocks(m);
-      mutator_->ApplyAt(m);
+      ApplyMutations(m);
       continue;
     }
     // Events strictly below n0 + lookahead cannot be affected by any message

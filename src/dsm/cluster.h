@@ -5,8 +5,9 @@
 #define SRC_DSM_CLUSTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <queue>
+#include <string>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -15,11 +16,12 @@
 #include "src/machvm/default_pager.h"
 #include "src/machvm/disk.h"
 #include "src/machvm/file_pager.h"
-#include "src/dsm/cluster_mutator.h"
 #include "src/machvm/node_vm.h"
 #include "src/mesh/fault_plan.h"
 #include "src/mesh/network.h"
 #include "src/sim/engine.h"
+#include "src/sim/event_fn.h"
+#include "src/sim/shard_mailbox.h"
 #include "src/sim/sharded_engine.h"
 #include "src/transport/transport.h"
 
@@ -95,7 +97,7 @@ class Cluster {
   // The root engine: shard 0's engine. Workload driver code (promise
   // completion, measurement probes) runs here. Drain the machine with Run /
   // RunFor, never through this engine directly: cross-node messages wait in
-  // the outboxes until the cluster's drain loop replays them.
+  // the mailbox until the cluster's drain loop replays them.
   Engine& engine() { return engines_->shard(0); }
   // The engine that simulates `node`.
   Engine& engine_for(NodeId node) { return engines_->engine_for_node(node); }
@@ -106,11 +108,11 @@ class Cluster {
   // clock has been applied).
   SimTime Now() const { return engines_->MaxNow(); }
 
-  // No runnable event on any engine, no message waiting in an outbox or the
-  // replay heap, and no pending mutation. Valid between runs / windows.
+  // No runnable event on any engine, no message and no mutation waiting in a
+  // mailbox. Valid between runs / windows.
   bool Empty() const;
 
-  // Drains the machine: every engine empty and every outbox replayed. Returns
+  // Drains the machine: every engine empty and every mailbox replayed. Returns
   // the number of events executed. Both Run and RunFor are the one
   // conservative-lookahead barrier loop (DrainSharded, DESIGN.md §13).
   uint64_t Run();
@@ -122,10 +124,18 @@ class Cluster {
   // Event-count safety valve, applied per engine.
   void set_event_limit(uint64_t per_engine_limit);
 
-  // Deterministically ordered cluster mutations (fork directory writes,
-  // cross-node driver signals) — see src/dsm/cluster_mutator.h. Applied at
-  // the drain loop's sequencing points, at every shard count.
-  ClusterMutator& mutator() { return *mutator_; }
+  // Deterministically ordered cluster mutations: driver-originated structural
+  // changes (fork directory inserts, death notices, cross-node completion
+  // signals) that many nodes — and so, in a sharded run, many engines —
+  // observe. Call from node `origin`'s execution context: an event running on
+  // origin's engine, or the driver while the machine is quiescent. `fn` is
+  // stamped with origin's engine time t and applied at t + lookahead, on the
+  // coordinator, with every engine quiescent and its clock at the apply time.
+  // Equal apply times run in (origin node, per-origin seq) order, the same
+  // at every shard count (DESIGN.md §13).
+  void Mutate(NodeId origin, EventFn fn) {
+    mutations_->Post(engine_for(origin).Now(), origin, std::move(fn));
+  }
 
   // DSM directory state may only be mutated while every engine is quiescent:
   // from the driver between runs, or from a mutation applied at a sequencing
@@ -154,7 +164,28 @@ class Cluster {
   Transport& sts() { return *sts_; }
   Transport& sts_ctl() { return *sts_ctl_; }
   Transport& norma() { return *norma_; }
-  FaultPlan* fault_plan() { return fault_plan_.get(); }  // null when faults are off
+  // Always present; empty params mean a healthy machine.
+  FaultPlan& fault_plan() { return *fault_plan_; }
+
+  // --- Stall watchdog --------------------------------------------------------
+  // Components that can hold blocked coroutines (pending protocol ops,
+  // in-flight page faults) register a probe. When a handler is installed and
+  // the machine drains (Run, or a RunFor that drains) while some probe still
+  // reports blocked work, the simulation has stalled: simulated time can
+  // never advance again, yet work remains incomplete. The handler receives a
+  // diagnostic report assembled from every blocked probe, so the run ends
+  // with a diagnosis instead of a silently missing result. The check runs
+  // only at that final drain, with every shard quiescent; with no handler
+  // installed it is skipped entirely (zero behavioural and timeline change).
+  using StallProbe = std::function<bool(std::string& report)>;
+
+  // Returns an id for RemoveStallProbe. Probes run in registration order.
+  int AddStallProbe(StallProbe probe);
+  void RemoveStallProbe(int id);
+  void SetStallHandler(std::function<void(const std::string&)> handler) {
+    stall_handler_ = std::move(handler);
+  }
+  uint64_t stalls_detected() const { return stalls_detected_; }
 
   NodeVm& vm(NodeId node) { return *nodes_.at(node).vm; }
   DefaultPager& default_pager(NodeId node) { return *nodes_.at(node).default_pager; }
@@ -171,68 +202,49 @@ class Cluster {
     std::unique_ptr<DefaultPager> default_pager;
   };
 
-  // A MeshRecord waiting at the barrier, keyed for deterministic replay:
-  // global send-time order, ties broken by (source node, per-source emission
-  // seq). A node's emissions happen in its own causal order at every shard
-  // count, so this key is shard-count-invariant — unlike per-shard emission
-  // order, which depends on how nodes group into shards. Every cross-node
-  // message at every shard count goes through this heap, so equal-send-time
-  // fabric admissions happen in one canonical order everywhere.
-  struct PendingRecord {
-    SimTime send_time;
-    uint64_t seq;  // per-source-node emission sequence
-    MeshRecord record;
-  };
-  struct PendingLater {
-    bool operator()(const PendingRecord& a, const PendingRecord& b) const {
-      if (a.send_time != b.send_time) return a.send_time > b.send_time;
-      if (a.record.src != b.record.src) return a.record.src > b.record.src;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Moves freshly-emitted outbox records into the pending heap. Inline, with
-  // empty outboxes skipped: the drain loop runs it on every iteration, mostly
-  // with nothing to collect.
-  void CollectOutboxes() {
-    for (auto& outbox : outboxes_) {
-      if (!outbox.empty()) {
-        CollectOutbox(outbox);
-      }
-    }
-  }
-  void CollectOutbox(std::vector<MeshRecord>& outbox);
   // Re-synchronizes every shard clock to `time` (see DrainSharded).
   void SyncClocks(SimTime time);
-  // Replays every pending record safely below the conservative horizon.
+  // Replays every collected message safely below the conservative horizon.
   // Returns the earliest pending event time across all shards afterwards.
-  SimTime ProcessPending();
+  SimTime ReplayMessages();
+  // Apply time of the earliest collected mutation, kNever when none is.
+  SimTime NextMutationTime() const;
+  // Runs every collected mutation whose apply time is `when`, in
+  // (send_time, origin, seq) order. Mutations a running mutation posts wait
+  // for the next Collect.
+  void ApplyMutations(SimTime when);
+  // Runs the stall probes at the final drain (see AddStallProbe).
+  void CheckStall();
   // The barrier loop behind Run and RunFor, at every shard count. Runs
-  // windows until every engine is empty and no record or mutation is
+  // windows until every engine is empty and no message or mutation is
   // pending, or simulated time would pass `until`. Returns true if the
   // machine drained.
   bool DrainSharded(SimTime until);
 
   ClusterParams params_;
   std::unique_ptr<ShardedEngine> engines_;
-  // One outbox per shard; only shard i's thread appends to outboxes_[i], and
-  // the coordinator drains them between windows.
-  MeshOutboxes outboxes_;
-  std::vector<uint64_t> record_seq_;  // per-source-node emission counter
-  std::priority_queue<PendingRecord, std::vector<PendingRecord>, PendingLater> pending_;
+  // Cross-node messages and cluster mutations, each replayed in
+  // (send_time, source node, per-source seq) order at the barrier.
+  std::unique_ptr<ShardMailbox<MeshRecord>> messages_;
+  std::unique_ptr<ShardMailbox<EventFn>> mutations_;
   // Conservative bounds, fixed at construction: the cheapest software send
   // cost any message can pay (fault slowdown factors below 1 included) and
   // the full cross-shard lookahead min_send_sw_ + route_setup + one hop.
+  // Mutations apply exactly one lookahead after they are posted.
   SimDuration min_send_sw_ = 0;
   SimDuration lookahead_ = 0;
-  std::unique_ptr<ClusterMutator> mutator_;
   // True while shard engines are executing a window; written by the
   // coordinator only, before and after the window barrier, so
   // AssertDriverQuiescent reads it race-free.
   bool in_window_ = false;
   StatsRegistry stats_;
   CounterHandle records_replayed_;
+  CounterHandle mutations_applied_;
   CounterHandle windows_;
+  std::vector<std::pair<int, StallProbe>> stall_probes_;
+  int next_stall_probe_id_ = 0;
+  std::function<void(const std::string&)> stall_handler_;
+  uint64_t stalls_detected_ = 0;
   TraceSink trace_sink_;  // must outlive everything that emits into it
   std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<Network> network_;

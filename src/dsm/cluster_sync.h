@@ -3,10 +3,10 @@
 // different engines. The single-engine primitives in src/sim/sync.h mutate a
 // plain counter from whatever thread resumes the coroutine, which is exactly
 // the cross-thread driver mutation the sharded contract forbids; these route
-// every signal through the ClusterMutator instead, so arrival counts and
-// wake-ups are sequenced at deterministic inter-window points and cost one
-// lookahead uniformly at every shard count (--shards=1 included: it runs the
-// same windowed drain).
+// every signal through Cluster::Mutate instead, so arrival counts and wake-ups
+// are sequenced at deterministic inter-window points and cost one lookahead
+// uniformly at every shard count (--shards=1 included: it runs the same
+// windowed drain).
 //
 // Wake order is normalized to ascending node id, so every engine resumes its
 // share of the released coroutines in the same relative order at every shard
@@ -67,7 +67,7 @@ class ClusterWaitGroup {
   // Signals completion from node `from`'s execution context; takes effect at
   // the next mutation sequencing point, one lookahead later.
   void Done(NodeId from) {
-    cluster_.mutator().Enqueue(from, [this]() {
+    cluster_.Mutate(from, [this]() {
       ASVM_CHECK_MSG(count_ > 0, "ClusterWaitGroup::Done below zero");
       if (--count_ == 0) {
         internal::ResumeClusterWaiters(cluster_, waiters_);
@@ -84,7 +84,7 @@ class ClusterWaitGroup {
     void await_suspend(std::coroutine_handle<> handle) {
       // Registration itself is a mutation: waiters_ must not grow from a
       // shard thread while another waiter registers elsewhere.
-      wg->cluster_.mutator().Enqueue(node, [wg = wg, node = node, handle]() {
+      wg->cluster_.Mutate(node, [wg = wg, node = node, handle]() {
         if (wg->count_ == 0) {
           wg->cluster_.engine_for(node).Post([handle]() { handle.resume(); });
         } else {
@@ -122,7 +122,7 @@ class ClusterBarrier {
     NodeId node;
     bool await_ready() const { return barrier->parties_ <= 1; }
     void await_suspend(std::coroutine_handle<> handle) {
-      barrier->cluster_.mutator().Enqueue(node, [b = barrier, node = node, handle]() {
+      barrier->cluster_.Mutate(node, [b = barrier, node = node, handle]() {
         b->waiters_.push_back({node, b->next_order_++, handle});
         if (static_cast<int>(b->waiters_.size()) == b->parties_) {
           internal::ResumeClusterWaiters(b->cluster_, b->waiters_);

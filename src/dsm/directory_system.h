@@ -171,7 +171,7 @@ class DirectorySystem : public DsmSystem {
     // (every engine quiescent), one lookahead after this instant.
     Promise<VmMap*> built(engine);
     VmMap* parent_ptr = &parent;
-    cluster_.mutator().Enqueue(src, [this, src, parent_ptr, dst, built]() {
+    cluster_.Mutate(src, [this, src, parent_ptr, dst, built]() {
       built.Set(ApplyRemoteFork(src, *parent_ptr, dst));
     });
     done.Set(co_await built.GetFuture());

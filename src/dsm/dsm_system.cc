@@ -9,17 +9,16 @@
 namespace asvm {
 
 DsmSystem::~DsmSystem() {
-  if (stall_engine_ != nullptr) {
-    stall_engine_->RemoveStallProbe(stall_probe_id_);
+  if (stall_cluster_ != nullptr) {
+    stall_cluster_->RemoveStallProbe(stall_probe_id_);
   }
 }
 
 void DsmSystem::AddAgentStallProbe() {
-  // The probe registers on the root engine (not a node's shard engine): only
-  // the root runs stall checks, once, at the final global drain — when every
+  // The cluster runs its probes once, at the final global drain, when every
   // shard is quiescent and pending-op state is safe to read.
-  stall_engine_ = &cluster().engine();
-  stall_probe_id_ = stall_engine_->AddStallProbe([this](std::string& report) {
+  stall_cluster_ = &cluster();
+  stall_probe_id_ = stall_cluster_->AddStallProbe([this](std::string& report) {
     bool blocked = false;
     for (NodeId n = 0; n < cluster().node_count(); ++n) {
       blocked |= protocol_agent(n).DescribeStall(report);
@@ -37,15 +36,15 @@ void DsmSystem::ReportDeath(NodeId reporter, NodeId dead) {
   // ordered against every other cluster mutation, so all shard counts see the
   // same interleaving. Dedup happens at apply time (two agents may confirm the
   // same death in one window).
-  cluster().mutator().Enqueue(reporter, [this, dead]() { ApplyDeathNotice(dead); });
+  cluster().Mutate(reporter, [this, dead]() { ApplyDeathNotice(dead); });
 }
 
 void DsmSystem::ApplyDeathNotice(NodeId dead) {
   Cluster& cluster = this->cluster();
   cluster.AssertDriverQuiescent("death notice from inside a shard window");
-  FaultPlan* plan = cluster.fault_plan();
+  const FaultPlan& plan = cluster.fault_plan();
   const SimTime now = cluster.Now();
-  if (plan == nullptr || plan->NodeAlive(dead, now)) {
+  if (plan.NodeAlive(dead, now)) {
     return;  // stale notice: the victim already rejoined
   }
   if (!death_noticed_.insert(dead).second) {
@@ -54,15 +53,14 @@ void DsmSystem::ApplyDeathNotice(NodeId dead) {
   cluster.stats().Add(kStatDeathNotices);
   ASVM_LOG_WARN << name() << ": death notice for node " << dead;
   for (NodeId n = 0; n < cluster.node_count(); ++n) {
-    if (n != dead && plan->NodeAlive(n, now)) {
+    if (n != dead && plan.NodeAlive(n, now)) {
       protocol_agent(n).OnDeathNotice(dead);
     }
   }
 }
 
 bool DsmSystem::Alive(NodeId node) {
-  const FaultPlan* plan = cluster().fault_plan();
-  return plan == nullptr || plan->NodeAlive(node, cluster().Now());
+  return cluster().fault_plan().NodeAlive(node, cluster().Now());
 }
 
 bool DsmSystem::SurvivorWitnessedCommit(const MemObjectId& id, PageIndex page) {

@@ -136,7 +136,7 @@ class DsmSystem {
   // Nodes whose death has already been gossiped (first notice wins).
   std::set<NodeId> death_noticed_;
   // The agents' stall probe, removed by ~DsmSystem (null until added).
-  Engine* stall_engine_ = nullptr;
+  Cluster* stall_cluster_ = nullptr;
   int stall_probe_id_ = -1;
 };
 

@@ -2,10 +2,10 @@
 
 namespace asvm {
 
-NodeId RingSuccessor(NodeId node, int node_count, const FaultPlan* plan, SimTime now) {
+NodeId RingSuccessor(NodeId node, int node_count, const FaultPlan& plan, SimTime now) {
   for (int step = 1; step < node_count; ++step) {
     const NodeId candidate = static_cast<NodeId>((node + step) % node_count);
-    if (plan == nullptr || plan->NodeAlive(candidate, now)) {
+    if (plan.NodeAlive(candidate, now)) {
       return candidate;
     }
   }

@@ -15,9 +15,9 @@
 
 namespace asvm {
 
-// First alive ring successor of `node` at `now`. A null plan means every node
-// is alive; kInvalidNode only when every other node is dead.
-NodeId RingSuccessor(NodeId node, int node_count, const FaultPlan* plan, SimTime now);
+// First alive ring successor of `node` at `now`; kInvalidNode only when every
+// other node is dead.
+NodeId RingSuccessor(NodeId node, int node_count, const FaultPlan& plan, SimTime now);
 
 // dsm.failover.* stat names, kept in one place so the emitting sites and the
 // --fault-report counter list stay in sync.

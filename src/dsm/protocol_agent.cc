@@ -182,19 +182,19 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
   // Retries exhausted. Classify the failure: when the fault plan confirms
   // every still-unanswered target node is removed, this is not a transient
   // loss — resolve kNodeDown so failover-aware callers can promote a backup
-  // rather than blindly retrying. Without a fault plan (or when any silent
-  // target is still alive) the op resolves kTimeout exactly as before.
+  // rather than blindly retrying. When any silent target is still alive the
+  // op resolves kTimeout.
   Status status = Status::kTimeout;
   std::vector<NodeId> dead_targets;
-  const FaultPlan* plan = dsm_.cluster().fault_plan();
-  if (plan != nullptr && !op.targets.empty()) {
+  const FaultPlan& plan = dsm_.cluster().fault_plan();
+  if (!op.targets.empty()) {
     const SimTime now = engine_.Now();
     bool all_unanswered_dead = true;
     for (NodeId t : op.targets) {
       if (std::find(op.acked.begin(), op.acked.end(), t) != op.acked.end()) {
         continue;
       }
-      if (plan->NodeAlive(t, now)) {
+      if (plan.NodeAlive(t, now)) {
         all_unanswered_dead = false;
         break;
       }
@@ -231,8 +231,8 @@ void ProtocolAgent::OpDeadline(uint64_t op_id) {
 }
 
 int ProtocolAgent::FailOpsOnDeadTargets() {
-  const FaultPlan* plan = dsm_.cluster().fault_plan();
-  if (plan == nullptr || pending_ops_.empty()) {
+  const FaultPlan& plan = dsm_.cluster().fault_plan();
+  if (pending_ops_.empty()) {
     return 0;
   }
   const SimTime now = engine_.Now();
@@ -256,7 +256,7 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
         continue;
       }
       any_unanswered = true;
-      if (plan->NodeAlive(t, now)) {
+      if (plan.NodeAlive(t, now)) {
         all_unanswered_dead = false;
         break;
       }
@@ -279,14 +279,14 @@ int ProtocolAgent::FailOpsOnDeadTargets() {
 
 std::vector<NodeId> ProtocolAgent::DropDeadTargets(std::vector<NodeId> targets,
                                                    const std::function<void(NodeId)>& forget) {
-  const FaultPlan* plan = dsm_.cluster().fault_plan();
-  if (!failover_.enabled || plan == nullptr) {
+  if (!failover_.enabled) {
     return targets;
   }
+  const FaultPlan& plan = dsm_.cluster().fault_plan();
   std::vector<NodeId> alive;
   alive.reserve(targets.size());
   for (NodeId t : targets) {
-    if (plan->NodeAlive(t, engine_.Now())) {
+    if (plan.NodeAlive(t, engine_.Now())) {
       alive.push_back(t);
     } else {
       forget(t);
@@ -300,19 +300,14 @@ bool ProtocolAgent::NodeDead(NodeId node) {
   if (!failover_.enabled || node == kInvalidNode) {
     return false;
   }
-  const FaultPlan* plan = dsm_.cluster().fault_plan();
-  return plan != nullptr && !plan->NodeAlive(node, engine_.Now());
+  return !dsm_.cluster().fault_plan().NodeAlive(node, engine_.Now());
 }
 
 bool ProtocolAgent::LeaseExpired(NodeId owner) {
   if (!failover_.enabled || owner == kInvalidNode) {
     return false;
   }
-  const FaultPlan* plan = dsm_.cluster().fault_plan();
-  if (plan == nullptr) {
-    return false;
-  }
-  const SimTime since = plan->RemovedSince(owner, engine_.Now());
+  const SimTime since = dsm_.cluster().fault_plan().RemovedSince(owner, engine_.Now());
   return since >= 0 && engine_.Now() >= since + failover_.lease_ns;
 }
 
@@ -322,12 +317,11 @@ void ProtocolAgent::OnDeathNotice(NodeId dead) {
 }
 
 void ProtocolAgent::ReissueAfter(std::function<void()> repair, std::function<void()> reissue) {
-  if (const FaultPlan* plan = dsm_.cluster().fault_plan();
-      plan != nullptr && plan->RemovedForGood(node_, engine_.Now())) {
+  if (dsm_.cluster().fault_plan().RemovedForGood(node_, engine_.Now())) {
     return;
   }
-  dsm_.cluster().mutator().Enqueue(node_, [this, repair = std::move(repair),
-                                           reissue = std::move(reissue)]() {
+  dsm_.cluster().Mutate(node_, [this, repair = std::move(repair),
+                                reissue = std::move(reissue)]() {
     repair();
     engine_.Post([this, reissue]() {
       dsm_.failover_counters().reissues.Add(stats_, kStatReissues);

@@ -155,7 +155,7 @@ Task TouchAll(TaskMemory& mem, const std::vector<VmOffset>& pages, size_t page_s
 }
 
 // Driver-side variant: the joiner is the main thread waiting on nodes spread
-// across shards, so completion signals route through the cluster mutator.
+// across shards, so completion signals route through cluster mutations.
 Task TouchAllCluster(TaskMemory& mem, const std::vector<VmOffset>& pages, size_t page_size,
                      PageAccess access, NodeId node, ClusterWaitGroup& wg) {
   std::vector<Future<Status>> futures;
@@ -243,12 +243,6 @@ Em3dResult RunEm3dTimed(Machine& machine, const Em3dParams& params, int nodes_us
   const int warmup = 1;
   ClusterBarrier barrier(machine.cluster(), nodes_used);
 
-  // Run the warmup by running workers for `warmup` iterations first: simplest
-  // is to run all iterations and sample the clock after warmup completes.
-  // Workers signal through a dedicated warmup barrier observer: we instead
-  // time the whole run and subtract a separately-measured warmup-only run.
-  // Cheaper and exact: run warmup-only workers, then measured workers.
-  const int64_t faults_before_all = machine.stats().Get("vm.faults");
   {
     ClusterWaitGroup done(machine.cluster());
     done.Add(nodes_used);
@@ -280,7 +274,6 @@ Em3dResult RunEm3dTimed(Machine& machine, const Em3dParams& params, int nodes_us
   result.faults = machine.stats().Get("vm.faults") - faults_before;
   result.bytes_on_wire =
       static_cast<double>(machine.stats().Get("mesh.bytes") - bytes_before);
-  (void)faults_before_all;
   return result;
 }
 

@@ -612,9 +612,8 @@ void IvyAgent::PullCompleted(VmObject&, PageIndex, PullResult) {}
 // --- Failover (DESIGN.md §15) ------------------------------------------------
 
 void IvyAgent::OnDeathNotice(NodeId dead) {
-  const FaultPlan* plan = system_.cluster().fault_plan();
-  const NodeId succ =
-      RingSuccessor(dead, system_.cluster().node_count(), plan, engine().Now());
+  const NodeId succ = RingSuccessor(dead, system_.cluster().node_count(),
+                                    system_.cluster().fault_plan(), engine().Now());
   for (const MemObjectId& id : SortedKeys(objs_)) {
     ObjState& os = *objs_.at(id);
     std::vector<PageIndex> cut;

@@ -24,7 +24,7 @@ void IvySystem::OnRegionCreated(const DirectoryRecord& rec) {
 // --- Failover (DESIGN.md §15) ------------------------------------------------
 
 bool IvySystem::HarvestNewestCopy(const MemObjectId& id, PageIndex page, NodeId new_owner) {
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
   IvyAgent::OwnerState* st = agent(new_owner).OwnedState(id, page);
   ASVM_CHECK_MSG(st != nullptr, "harvest without an owner record");
@@ -35,7 +35,7 @@ bool IvySystem::HarvestNewestCopy(const MemObjectId& id, PageIndex page, NodeId 
     // (writes invalidate readers first): the lowest alive holder seeds the
     // new owner's copy.
     for (NodeId n = 0; n < cluster_.node_count() && !harvested; ++n) {
-      if (n == new_owner || (plan != nullptr && !plan->NodeAlive(n, now))) {
+      if (n == new_owner || !plan.NodeAlive(n, now)) {
         continue;
       }
       auto rit = agent(n).reprs_.find(id);
@@ -76,9 +76,9 @@ void IvySystem::ResetOwnerRecord(const MemObjectId& id, PageIndex page, NodeId o
 void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId requester) {
   cluster_.AssertDriverQuiescent("IVY reclaim from inside a shard window");
   DirectoryRecord& obj = info(id);
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
-  if (plan == nullptr || !plan->NodeAlive(requester, now)) {
+  if (!plan.NodeAlive(requester, now)) {
     return;
   }
   // The owner is whichever node holds the page's owner record (exactly one
@@ -91,7 +91,7 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
       break;
     }
   }
-  if (owner != kInvalidNode && plan->NodeAlive(owner, now)) {
+  if (owner != kInvalidNode && plan.NodeAlive(owner, now)) {
     // The chain walk found a corpse along the way, not a dead owner: aim the
     // requester straight at the live owner (includes owner == requester, when
     // a straggler grant landed ownership here already).
@@ -101,7 +101,7 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
   if (owner != kInvalidNode) {
     // Owner confirmed dead: its ownership lease must expire before the page
     // can be stolen — the corpse may still think it owns the page.
-    const SimTime since = plan->RemovedSince(owner, now);
+    const SimTime since = plan.RemovedSince(owner, now);
     if (since < 0 || now < since + cluster_.params().failover.lease_ns) {
       return;  // lease still live; the reissued request re-walks and re-tries
     }
@@ -133,7 +133,7 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
     }
   }
   for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (n == requester || !plan->NodeAlive(n, now)) {
+    if (n == requester || !plan.NodeAlive(n, now)) {
       continue;
     }
     agent(n).SetHint(id, page, requester);
@@ -145,7 +145,7 @@ void IvySystem::ReclaimIfOwnerDead(const MemObjectId& id, PageIndex page, NodeId
   // fallbacks and the backing store, both of which are gone. The new owner
   // takes the role with fresh (empty) backing; harvested/shadowed contents
   // stand in for everything committed.
-  if (!obj.file_backed && obj.home != requester && !plan->NodeAlive(obj.home, now)) {
+  if (!obj.file_backed && obj.home != requester && !plan.NodeAlive(obj.home, now)) {
     obj.home = requester;
     obj.backing = std::make_unique<AnonBacking>(cluster_.engine_for(requester),
                                                 cluster_.default_pager(requester),

@@ -24,60 +24,34 @@ Task SequentialTouch(TaskMemory& mem, VmOffset first_page, VmOffset end_page, si
   wg.Done(mem.vm().node());
 }
 
-}  // namespace
-
-FileBenchResult RunParallelFileRead(Machine& machine, const MemObjectId& region,
-                                    VmSize file_pages, int nodes_used, NodeId first_node) {
+// The parallel-touch driver behind the three public runs: maps the region
+// on `nodes_used` nodes from `first_node`, has each touch its page range in
+// sequential order, and reports each node's MB/s over that range. Sectioned,
+// node n's range is its disjoint 1/nodes_used section (the last node takes
+// the remainder); otherwise every node touches the whole file.
+FileBenchResult RunParallelTouch(Machine& machine, const MemObjectId& region, VmSize file_pages,
+                                 int nodes_used, NodeId first_node, PageAccess access,
+                                 bool sectioned) {
   ASVM_CHECK(nodes_used >= 1 && first_node + nodes_used <= machine.nodes());
   const size_t ps = machine.page_size();
   std::vector<TaskMemory*> mems;
   for (NodeId n = 0; n < nodes_used; ++n) {
     mems.push_back(&machine.MapRegion(first_node + n, region));
   }
-  std::vector<SimTime> finished(nodes_used, 0);
-  ClusterWaitGroup wg(machine.cluster());
-  wg.Add(nodes_used);
-  const SimTime start = machine.Now();
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    (void)SequentialTouch(*mems[n], 0, file_pages, ps, PageAccess::kRead, &finished[n], wg);
-  }
-  machine.Run();
-  ASVM_CHECK(wg.count() == 0);
-
-  FileBenchResult result;
-  const double file_mb =
-      static_cast<double>(file_pages) * static_cast<double>(ps) / (1024.0 * 1024.0);
-  double rate_sum = 0;
-  SimTime last = start;
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    const double secs = ToSeconds(finished[n] - start);
-    result.node_seconds.push_back(secs);
-    rate_sum += file_mb / secs;
-    last = std::max(last, finished[n]);
-  }
-  result.per_node_mb_s = rate_sum / nodes_used;
-  result.makespan_seconds = ToSeconds(last - start);
-  return result;
-}
-
-FileBenchResult RunParallelFileWrite(Machine& machine, const MemObjectId& region,
-                                     VmSize file_pages, int nodes_used, NodeId first_node) {
-  ASVM_CHECK(nodes_used >= 1 && first_node + nodes_used <= machine.nodes());
-  const size_t ps = machine.page_size();
-  std::vector<TaskMemory*> mems;
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    mems.push_back(&machine.MapRegion(first_node + n, region));
-  }
-  std::vector<SimTime> finished(nodes_used, 0);
-  ClusterWaitGroup wg(machine.cluster());
-  wg.Add(nodes_used);
   const VmSize section = file_pages / nodes_used;
-  ASVM_CHECK_MSG(section > 0, "file smaller than node count");
+  ASVM_CHECK_MSG(!sectioned || section > 0, "file smaller than node count");
+  std::vector<VmOffset> lo(nodes_used, 0);
+  std::vector<VmOffset> hi(nodes_used, file_pages);
+  for (NodeId n = 0; sectioned && n < nodes_used; ++n) {
+    lo[n] = static_cast<VmOffset>(n) * section;
+    hi[n] = n == nodes_used - 1 ? file_pages : lo[n] + section;
+  }
+  std::vector<SimTime> finished(nodes_used, 0);
+  ClusterWaitGroup wg(machine.cluster());
+  wg.Add(nodes_used);
   const SimTime start = machine.Now();
   for (NodeId n = 0; n < nodes_used; ++n) {
-    const VmOffset lo = static_cast<VmOffset>(n) * section;
-    const VmOffset hi = n == nodes_used - 1 ? file_pages : lo + section;
-    (void)SequentialTouch(*mems[n], lo, hi, ps, PageAccess::kWrite, &finished[n], wg);
+    (void)SequentialTouch(*mems[n], lo[n], hi[n], ps, access, &finished[n], wg);
   }
   machine.Run();
   ASVM_CHECK(wg.count() == 0);
@@ -86,9 +60,8 @@ FileBenchResult RunParallelFileWrite(Machine& machine, const MemObjectId& region
   double rate_sum = 0;
   SimTime last = start;
   for (NodeId n = 0; n < nodes_used; ++n) {
-    const VmOffset lo = static_cast<VmOffset>(n) * section;
-    const VmOffset hi = n == nodes_used - 1 ? file_pages : lo + section;
-    const double mb = static_cast<double>(hi - lo) * static_cast<double>(ps) / (1024.0 * 1024.0);
+    const double mb =
+        static_cast<double>(hi[n] - lo[n]) * static_cast<double>(ps) / (1024.0 * 1024.0);
     const double secs = ToSeconds(finished[n] - start);
     result.node_seconds.push_back(secs);
     rate_sum += mb / secs;
@@ -97,46 +70,27 @@ FileBenchResult RunParallelFileWrite(Machine& machine, const MemObjectId& region
   result.per_node_mb_s = rate_sum / nodes_used;
   result.makespan_seconds = ToSeconds(last - start);
   return result;
+}
+
+}  // namespace
+
+FileBenchResult RunParallelFileRead(Machine& machine, const MemObjectId& region,
+                                    VmSize file_pages, int nodes_used, NodeId first_node) {
+  return RunParallelTouch(machine, region, file_pages, nodes_used, first_node, PageAccess::kRead,
+                          /*sectioned=*/false);
+}
+
+FileBenchResult RunParallelFileWrite(Machine& machine, const MemObjectId& region,
+                                     VmSize file_pages, int nodes_used, NodeId first_node) {
+  return RunParallelTouch(machine, region, file_pages, nodes_used, first_node,
+                          PageAccess::kWrite, /*sectioned=*/true);
 }
 
 FileBenchResult RunParallelFileReadSections(Machine& machine, const MemObjectId& region,
                                             VmSize file_pages, int nodes_used,
                                             NodeId first_node) {
-  ASVM_CHECK(nodes_used >= 1 && first_node + nodes_used <= machine.nodes());
-  const size_t ps = machine.page_size();
-  std::vector<TaskMemory*> mems;
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    mems.push_back(&machine.MapRegion(first_node + n, region));
-  }
-  std::vector<SimTime> finished(nodes_used, 0);
-  ClusterWaitGroup wg(machine.cluster());
-  wg.Add(nodes_used);
-  const VmSize section = file_pages / nodes_used;
-  ASVM_CHECK_MSG(section > 0, "file smaller than node count");
-  const SimTime start = machine.Now();
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    const VmOffset lo = static_cast<VmOffset>(n) * section;
-    const VmOffset hi = n == nodes_used - 1 ? file_pages : lo + section;
-    (void)SequentialTouch(*mems[n], lo, hi, ps, PageAccess::kRead, &finished[n], wg);
-  }
-  machine.Run();
-  ASVM_CHECK(wg.count() == 0);
-
-  FileBenchResult result;
-  double rate_sum = 0;
-  SimTime last = start;
-  for (NodeId n = 0; n < nodes_used; ++n) {
-    const VmOffset lo = static_cast<VmOffset>(n) * section;
-    const VmOffset hi = n == nodes_used - 1 ? file_pages : lo + section;
-    const double mb = static_cast<double>(hi - lo) * static_cast<double>(ps) / (1024.0 * 1024.0);
-    const double secs = ToSeconds(finished[n] - start);
-    result.node_seconds.push_back(secs);
-    rate_sum += mb / secs;
-    last = std::max(last, finished[n]);
-  }
-  result.per_node_mb_s = rate_sum / nodes_used;
-  result.makespan_seconds = ToSeconds(last - start);
-  return result;
+  return RunParallelTouch(machine, region, file_pages, nodes_used, first_node, PageAccess::kRead,
+                          /*sectioned=*/true);
 }
 
 int VerifyFileContents(Machine& machine, TaskMemory& mem, int32_t file_id, VmSize pages) {

@@ -27,7 +27,7 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
                                  "; intra-node messages must bypass the mesh "
                                  "(Transport delivers them itself)");
 
-  if (fault_ != nullptr && !fault_->Delivers(src, dst, now)) {
+  if (!fault_.Delivers(src, dst, now)) {
     if (trace_.enabled()) {
       TraceEvent e;
       e.time = now;
@@ -41,12 +41,8 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
     return -1;  // black hole: a removed node's traffic silently vanishes (counted)
   }
 
-  double bandwidth = params_.bandwidth_bytes_per_ns;
-  SimDuration jitter = 0;
-  if (fault_ != nullptr) {
-    bandwidth *= fault_->LinkBandwidthFactor(src, dst);
-    jitter = fault_->NextJitter();
-  }
+  const double bandwidth = params_.bandwidth_bytes_per_ns * fault_.LinkBandwidthFactor(src, dst);
+  const SimDuration jitter = fault_.NextJitter();
   const SimDuration ser = SerializationTime(bytes, bandwidth);
 
   // Injection channel: the message occupies the source's outbound link for its
@@ -78,10 +74,6 @@ SimTime Network::Admit(SimTime now, NodeId src, NodeId dst, size_t bytes) {
   }
 
   return rx_done;
-}
-
-SimTime Network::ProcessRecord(const MeshRecord& record) {
-  return Admit(record.send_time, record.src, record.dst, record.bytes);
 }
 
 SimDuration Network::UncontendedLatency(NodeId src, NodeId dst, size_t bytes) const {

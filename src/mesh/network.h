@@ -27,32 +27,28 @@ struct MeshParams {
   SimDuration route_setup_ns = 500;              // packetize + inject
 };
 
-// A cross-node message on its way into the fabric. The transport stamps the
-// send-side software completion time (send_time) and appends the record to
-// its shard's outbox; all fabric math — endpoint busy channels, jitter,
-// stats — is deferred to the inter-window barrier, which replays records in
-// global (send_time, source node, per-source emission order) order so the
-// tx/rx busy-channel updates happen in one canonical sequence at every shard
-// count (DESIGN.md §13).
+// A cross-node message on its way into the fabric. The transport posts it,
+// stamped with the send-side software completion time and the source node,
+// into the cluster's barrier mailbox (src/sim/shard_mailbox.h); all fabric
+// math — endpoint busy channels, jitter, stats — is deferred to the
+// inter-window barrier, which replays records in global (send_time, source
+// node, per-source seq) order so the tx/rx busy-channel updates happen in one
+// canonical sequence at every shard count (DESIGN.md §13).
 struct MeshRecord {
-  SimTime send_time = 0;
-  NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   size_t bytes = 0;
   EventFn deliver;
 };
 
-// One outbox of records per shard; only shard i's thread appends to
-// outboxes[i], and the coordinator drains them between windows.
-using MeshOutboxes = std::vector<std::vector<MeshRecord>>;
-
 class Network {
  public:
-  // Fabric-level fault effects (dropped messages, injected jitter) are
-  // emitted into `trace` as events.
-  Network(Topology topology, MeshParams params, StatsRegistry& stats, TraceSink& trace)
+  // Every message consults `fault` (empty params: a healthy fabric); dropped
+  // messages and injected jitter are emitted into `trace` as events.
+  Network(Topology topology, MeshParams params, FaultPlan& fault, StatsRegistry& stats,
+          TraceSink& trace)
       : topology_(topology),
         params_(params),
+        fault_(fault),
         stats_(stats),
         trace_(trace),
         tx_busy_until_(topology.node_count(), 0),
@@ -60,37 +56,26 @@ class Network {
 
   const Topology& topology() const { return topology_; }
 
-  // Admits a record into the fabric at its stamped send time: simulates
-  // transmission of record.bytes from record.src to record.dst. Returns the
-  // delivery completion time (the caller injects record.deliver into the
-  // destination's engine at that time), or -1 when a fault plan drops the
-  // message. src == dst is not a network operation and is rejected; the
-  // transport handles local delivery itself.
-  SimTime ProcessRecord(const MeshRecord& record);
+  // Admits `bytes` from `src` to `dst` into the fabric at send time `now`.
+  // Returns the delivery completion time (the caller injects the record's
+  // deliver event into the destination's engine at that time), or -1 when the
+  // fault plan drops the message. src == dst is not a network operation and
+  // is rejected; the transport handles local delivery itself.
+  SimTime Admit(SimTime now, NodeId src, NodeId dst, size_t bytes);
 
   // Modeled one-way latency of an uncontended message (for tests/diagnostics).
   SimDuration UncontendedLatency(NodeId src, NodeId dst, size_t bytes) const;
 
-  // Attaches a fault plan (not owned; must outlive the network). Messages then
-  // pay jitter and degraded-link serialization, and traffic touching removed
-  // nodes is dropped. Never attached in healthy runs, so the default path is
-  // bit-identical to the unfaulted simulator.
-  void set_fault_plan(FaultPlan* plan) { fault_ = plan; }
-
   const MeshParams& params() const { return params_; }
 
  private:
-  // Admission core: fabric timing evaluated at `now`. Returns the delivery
-  // completion time, or -1 when the fault plan drops the message.
-  SimTime Admit(SimTime now, NodeId src, NodeId dst, size_t bytes);
-
   Topology topology_;
   MeshParams params_;
+  FaultPlan& fault_;
   StatsRegistry& stats_;
   TraceSink& trace_;
   CounterHandle messages_;
   CounterHandle bytes_;
-  FaultPlan* fault_ = nullptr;
   std::vector<SimTime> tx_busy_until_;
   std::vector<SimTime> rx_busy_until_;
 };

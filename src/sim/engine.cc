@@ -32,9 +32,6 @@ uint64_t Engine::Run() {
   while (!queue_->Empty()) {
     RunOne();
   }
-  if (!defer_stall_checks_) {
-    CheckStall();
-  }
   return executed_ - start;
 }
 
@@ -43,48 +40,10 @@ bool Engine::RunUntil(SimTime deadline) {
     RunOne();
   }
   if (queue_->Empty()) {
-    if (!defer_stall_checks_) {
-      CheckStall();
-    }
     return true;
   }
   now_ = deadline;
   return false;
-}
-
-int Engine::AddStallProbe(StallProbe probe) {
-  const int id = next_stall_probe_id_++;
-  stall_probes_.emplace_back(id, std::move(probe));
-  return id;
-}
-
-void Engine::RemoveStallProbe(int id) {
-  for (auto it = stall_probes_.begin(); it != stall_probes_.end(); ++it) {
-    if (it->first == id) {
-      stall_probes_.erase(it);
-      return;
-    }
-  }
-}
-
-void Engine::CheckStall() {
-  if (!stall_handler_ || stall_probes_.empty()) {
-    return;
-  }
-  std::string report;
-  bool blocked = false;
-  for (auto& [id, probe] : stall_probes_) {
-    if (probe(report)) {
-      blocked = true;
-    }
-  }
-  if (!blocked) {
-    return;
-  }
-  ++stalls_detected_;
-  std::string header = "simulation stalled at t=" + std::to_string(now_) +
-                       " ns: event queue drained while work is still blocked\n";
-  stall_handler_(header + report);
 }
 
 }  // namespace asvm

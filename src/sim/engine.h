@@ -9,12 +9,9 @@
 #define SRC_SIM_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "src/common/log.h"
 #include "src/sim/event_fn.h"
@@ -84,46 +81,14 @@ class Engine {
   // Safety valve for tests: aborts the run if more events than this execute.
   void set_event_limit(uint64_t limit) { event_limit_ = limit; }
 
-  // --- Stall watchdog --------------------------------------------------------
-  // Components that can hold blocked coroutines (pending protocol ops,
-  // in-flight page faults) register a probe. When a handler is installed and
-  // the event queue drains while some probe still reports blocked work, the
-  // simulation has stalled: simulated time can never advance again, yet work
-  // remains incomplete. The handler receives a diagnostic report assembled
-  // from every blocked probe, so the run ends with a diagnosis instead of a
-  // silently missing result. With no handler installed the checks are skipped
-  // entirely (zero behavioural and timeline change).
-  using StallProbe = std::function<bool(std::string& report)>;
-
-  // Returns an id for RemoveStallProbe. Probes fire in registration order.
-  int AddStallProbe(StallProbe probe);
-  void RemoveStallProbe(int id);
-  void SetStallHandler(std::function<void(const std::string&)> handler) {
-    stall_handler_ = std::move(handler);
-  }
-  uint64_t stalls_detected() const { return stalls_detected_; }
-
-  // A cluster's drain loop empties each shard's queue many times while
-  // blocked work legitimately waits on messages still in an outbox.
-  // Deferring suppresses the automatic drain-time checks; the coordinator
-  // calls ForceStallCheck() once at the final global drain instead.
-  void set_defer_stall_checks(bool defer) { defer_stall_checks_ = defer; }
-  void ForceStallCheck() { CheckStall(); }
-
  private:
   void RunOne();
-  void CheckStall();
 
   SimTime now_ = 0;
   uint64_t executed_ = 0;
   uint64_t event_limit_ = 0;  // 0 = unlimited
-  bool defer_stall_checks_ = false;
   SchedulerKind scheduler_kind_;
   std::unique_ptr<Scheduler> queue_;
-  std::vector<std::pair<int, StallProbe>> stall_probes_;
-  int next_stall_probe_id_ = 0;
-  std::function<void(const std::string&)> stall_handler_;
-  uint64_t stalls_detected_ = 0;
 };
 
 }  // namespace asvm

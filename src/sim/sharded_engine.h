@@ -1,11 +1,12 @@
 // Conservative-lookahead parallel simulation: N independent Engines, one per
 // shard of the node space, driven in lockstep windows by a persistent worker
 // pool. The ShardedEngine owns only the engines and the thread barrier; the
-// window/lookahead policy (how far each window may run, how cross-node
-// messages are exchanged at the barrier) lives with the caller — for the DSM
-// cluster that is Cluster::DrainSharded (DESIGN.md §13). Every Cluster is
-// built on one, whatever its shard count: with one shard no worker is
-// spawned and each window runs inline on the calling thread.
+// window/lookahead policy (how far each window may run) lives with the caller
+// — for the DSM cluster that is Cluster::DrainSharded (DESIGN.md §13) — and
+// cross-node messages and mutations cross the barrier through a ShardMailbox
+// (src/sim/shard_mailbox.h). Every Cluster is built on one, whatever its
+// shard count: with one shard no worker is spawned and each window runs
+// inline on the calling thread.
 //
 // Threading contract: shard engines run concurrently ONLY inside RunWindow().
 // Between windows (and before/after a run) all engines are quiescent and the

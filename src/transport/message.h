@@ -28,34 +28,12 @@ namespace asvm {
 enum class ProtocolId : uint32_t {
   kAsvm = 1,
   kXmm = 2,
-  kPagerControl = 3,  // pager-level traffic (file pager requests, etc.)
   kIvy = 4,
 };
 
-// Pager-level control traffic. The simulator's pagers talk through direct
-// coroutine calls, so this protocol carries no payload beyond its tag; it
-// exists so out-of-band pager traffic has a typed envelope alternative too.
-enum class PagerMsgType : uint32_t {
-  kControl = 1,
-};
-
-struct PagerControlMsg {
-  uint64_t token = 0;
-};
-
-using PagerBody = std::variant<PagerControlMsg>;
-
-constexpr const char* MsgTypeName(PagerMsgType type) {
-  switch (type) {
-    case PagerMsgType::kControl:
-      return "control";
-  }
-  return "unknown";
-}
-
 // The closed set of protocol bodies a Message can carry. monostate covers
 // tag-only control messages (and default construction).
-using MessageBody = std::variant<std::monostate, AsvmBody, XmmBody, PagerBody, IvyBody>;
+using MessageBody = std::variant<std::monostate, AsvmBody, XmmBody, IvyBody>;
 
 // Helper for exhaustive std::visit dispatch over message bodies:
 //   std::visit(Overloaded{[](const AccessRequest& r) {...}, ...}, body);
@@ -93,8 +71,6 @@ constexpr const char* MsgTypeName(const Message& msg) {
       return MsgTypeName(static_cast<AsvmMsgType>(msg.type));
     case ProtocolId::kXmm:
       return MsgTypeName(static_cast<XmmMsgType>(msg.type));
-    case ProtocolId::kPagerControl:
-      return MsgTypeName(static_cast<PagerMsgType>(msg.type));
     case ProtocolId::kIvy:
       return MsgTypeName(static_cast<IvyMsgType>(msg.type));
   }
@@ -107,8 +83,6 @@ constexpr const char* ProtocolName(ProtocolId protocol) {
       return "asvm";
     case ProtocolId::kXmm:
       return "xmm";
-    case ProtocolId::kPagerControl:
-      return "pager";
     case ProtocolId::kIvy:
       return "ivy";
   }

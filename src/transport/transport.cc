@@ -38,12 +38,14 @@ uint64_t MessageOpId(const Message& msg) {
 
 }  // namespace
 
-Transport::Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
-                     TransportCosts costs, StatsRegistry& stats, TraceSink& trace)
+Transport::Transport(ShardedEngine& engines, ShardMailbox<MeshRecord>& mailbox, std::string name,
+                     TransportCosts costs, FaultPlan& fault, StatsRegistry& stats,
+                     TraceSink& trace)
     : engines_(engines),
-      outboxes_(outboxes),
+      mailbox_(mailbox),
       name_(std::move(name)),
       costs_(costs),
+      fault_(fault),
       stats_(stats),
       trace_(trace),
       handlers_(kMaxProtocols * engines.node_count()),
@@ -72,10 +74,7 @@ void Transport::CountType(const Message& msg) {
 }
 
 SimDuration Transport::SwCost(SimDuration base, NodeId node) {
-  if (fault_ == nullptr) {
-    return base;
-  }
-  const double factor = fault_->NodeCostFactor(node);
+  const double factor = fault_.NodeCostFactor(node);
   if (factor == 1.0) {
     return base;
   }
@@ -141,15 +140,11 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
   // the barrier, which replays records in (send_time, source node,
   // per-source seq) order — including same-shard traffic, so the endpoint
   // busy channels update in one canonical sequence at every shard count.
-  MeshRecord record;
-  record.send_time = send_done;
-  record.src = src;
-  record.dst = dst;
-  record.bytes = msg.WireBytes() + costs_.control_overhead_bytes;
-  record.deliver = [this, src, dst, msg = std::move(msg)]() mutable {
-    Deliver(src, dst, std::move(msg));
-  };
-  outboxes_[static_cast<size_t>(engines_.shard_of(src))].push_back(std::move(record));
+  const size_t bytes = msg.WireBytes() + costs_.control_overhead_bytes;
+  mailbox_.Post(send_done, src,
+                MeshRecord{dst, bytes, [this, src, dst, msg = std::move(msg)]() mutable {
+                             Deliver(src, dst, std::move(msg));
+                           }});
 }
 
 void Transport::Deliver(NodeId src, NodeId dst, Message msg) {

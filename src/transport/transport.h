@@ -11,9 +11,9 @@
 //
 // Each charges a software send overhead serialized on the sending node and a
 // software receive overhead serialized on the receiving node, over the same
-// mesh fabric. A cross-node send never touches the fabric directly: it
-// becomes a MeshRecord in the sending shard's outbox, and the cluster's
-// barrier replays it through Network::ProcessRecord (DESIGN.md §13).
+// mesh fabric. A cross-node send never touches the fabric directly: it is
+// posted as a MeshRecord into the cluster's barrier mailbox, which replays it
+// through Network::Admit (DESIGN.md §13).
 #ifndef SRC_TRANSPORT_TRANSPORT_H_
 #define SRC_TRANSPORT_TRANSPORT_H_
 
@@ -29,6 +29,7 @@
 #include "src/common/types.h"
 #include "src/mesh/network.h"
 #include "src/sim/engine.h"
+#include "src/sim/shard_mailbox.h"
 #include "src/sim/sharded_engine.h"
 #include "src/transport/message.h"
 
@@ -46,14 +47,15 @@ class Transport {
   using Handler = std::function<void(NodeId src, Message msg)>;
 
   // `engines` maps each node to the engine that simulates it; cross-node
-  // sends append to `outboxes` (one per shard, drained by the cluster). Every
-  // send and delivery emits a kMsgSend/kMsgRecv event into `trace`, carrying
-  // the message type and, when the body has one, the protocol op id. All four
+  // sends are posted into `mailbox`, which the cluster replays. Slow-node
+  // faults in `fault` scale a node's software send/recv costs. Every send and
+  // delivery emits a kMsgSend/kMsgRecv event into `trace`, carrying the
+  // message type and, when the body has one, the protocol op id. All of them
   // must outlive the transport. The transport's messages, bytes and
   // page_messages counters are registered here, so they report zero on a run
   // that never uses it.
-  Transport(ShardedEngine& engines, MeshOutboxes& outboxes, std::string name,
-            TransportCosts costs, StatsRegistry& stats, TraceSink& trace);
+  Transport(ShardedEngine& engines, ShardMailbox<MeshRecord>& mailbox, std::string name,
+            TransportCosts costs, FaultPlan& fault, StatsRegistry& stats, TraceSink& trace);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -64,8 +66,8 @@ class Transport {
 
   // Sends msg from src to dst. Delivery invokes the registered handler after
   // the modeled software + wire latency. src == dst is a local delivery that
-  // bypasses the mesh; any other send is queued in the source shard's outbox
-  // and enters the fabric when the cluster replays it.
+  // bypasses the mesh; any other send waits in the mailbox and enters the
+  // fabric when the cluster replays it.
   void Send(NodeId src, NodeId dst, Message msg);
 
   const std::string& name() const { return name_; }
@@ -75,10 +77,6 @@ class Transport {
   // ("transport.<name>.msg.<MsgTypeName>"). Off by default: the extra counter
   // per message is only worth paying for when a tool asks for the breakdown.
   void set_per_type_stats(bool enabled) { per_type_stats_ = enabled; }
-
-  // Attaches a fault plan (not owned): slow-node faults scale this node's
-  // software send/recv costs. Never attached in healthy runs.
-  void set_fault_plan(FaultPlan* plan) { fault_ = plan; }
 
  private:
   // Protocol ids are small contiguous integers; message-type tags are small
@@ -94,12 +92,12 @@ class Transport {
   Engine& node_engine(NodeId node) { return engines_.engine_for_node(node); }
 
   ShardedEngine& engines_;
-  MeshOutboxes& outboxes_;
+  ShardMailbox<MeshRecord>& mailbox_;
   std::string name_;
   TransportCosts costs_;
+  FaultPlan& fault_;
   StatsRegistry& stats_;
   TraceSink& trace_;
-  FaultPlan* fault_ = nullptr;
   // Indexed [protocol * node_count + node]; empty std::function = unregistered.
   std::vector<Handler> handlers_;
   // One protocol CPU per node: sending and receiving share it, so a node

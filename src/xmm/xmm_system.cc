@@ -20,9 +20,9 @@ XmmSystem::~XmmSystem() = default;
 void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
   cluster_.AssertDriverQuiescent("XMM promotion from inside a shard window");
   DirectoryRecord& obj = info(id);
-  FaultPlan* plan = cluster_.fault_plan();
+  const FaultPlan& plan = cluster_.fault_plan();
   const SimTime now = cluster_.Now();
-  if (plan == nullptr || plan->NodeAlive(obj.home, now)) {
+  if (plan.NodeAlive(obj.home, now)) {
     return;  // an earlier mutation this barrier already promoted (idempotent)
   }
   const NodeId old_manager = obj.home;
@@ -56,7 +56,7 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
   // resident maps cannot leak into the result; nodes scan in ascending order
   // regardless (shard-count invariance).
   for (NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (!plan->NodeAlive(n, now)) {
+    if (!plan.NodeAlive(n, now)) {
       continue;
     }
     XmmAgent& peer = agent(n);
@@ -83,7 +83,7 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
       // first), so the lowest alive reader seeds the pager copy.
       bool harvested = false;
       for (NodeId n = 0; n < cluster_.node_count() && !harvested; ++n) {
-        if (!plan->NodeAlive(n, now) || backup.AccessByte(ms, p, n) != 1) {
+        if (!plan.NodeAlive(n, now) || backup.AccessByte(ms, p, n) != 1) {
           continue;
         }
         auto rit = agent(n).reprs_.find(id);

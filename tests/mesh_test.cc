@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/mesh/fault_plan.h"
 #include "src/mesh/network.h"
 #include "src/mesh/topology.h"
 
@@ -53,23 +54,16 @@ TEST(TopologyTest, ContainsRespectsPartialLastRow) {
 }
 
 // The fabric is driven the way the cluster's barrier replay drives it: one
-// MeshRecord at a time through ProcessRecord, which returns the delivery
-// completion time.
-MeshRecord Record(NodeId src, NodeId dst, size_t bytes, SimTime send_time = 0) {
-  MeshRecord record;
-  record.send_time = send_time;
-  record.src = src;
-  record.dst = dst;
-  record.bytes = bytes;
-  return record;
-}
-
+// message at a time through Admit, which returns the delivery completion
+// time. An empty fault plan is a healthy fabric.
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : network_(Topology(4, 4), MeshParams{}, stats_, trace_) {}
+  NetworkTest() : network_(Topology(4, 4), MeshParams{}, fault_, stats_, trace_) {}
 
   StatsRegistry stats_;
   TraceSink trace_;
+  Engine engine_;
+  FaultPlan fault_{engine_, FaultPlanParams{}, 16, stats_};
   Network network_;
 };
 
@@ -82,16 +76,14 @@ TEST_F(NetworkTest, UncontendedLatencyMatchesModel) {
 }
 
 TEST_F(NetworkTest, DeliversAtModeledTime) {
-  EXPECT_EQ(network_.ProcessRecord(Record(0, 15, 8192)),
-            network_.UncontendedLatency(0, 15, 8192));
+  EXPECT_EQ(network_.Admit(0, 0, 15, 8192), network_.UncontendedLatency(0, 15, 8192));
   // A later send time shifts the delivery by exactly that much.
-  Network fresh(Topology(4, 4), MeshParams{}, stats_, trace_);
-  EXPECT_EQ(fresh.ProcessRecord(Record(0, 15, 8192, 1000)),
-            1000 + fresh.UncontendedLatency(0, 15, 8192));
+  Network fresh(Topology(4, 4), MeshParams{}, fault_, stats_, trace_);
+  EXPECT_EQ(fresh.Admit(1000, 0, 15, 8192), 1000 + fresh.UncontendedLatency(0, 15, 8192));
 }
 
 TEST_F(NetworkTest, SmallMessagesAreFast) {
-  const SimTime delivered = network_.ProcessRecord(Record(0, 1, 32));
+  const SimTime delivered = network_.Admit(0, 0, 1, 32);
   // 32 bytes at 200 MB/s is 160 ns; total should be well under 1 us.
   EXPECT_LT(delivered, 1000);
   EXPECT_GT(delivered, 0);
@@ -100,7 +92,7 @@ TEST_F(NetworkTest, SmallMessagesAreFast) {
 TEST_F(NetworkTest, SourceInjectionSerializesBackToBackSends) {
   std::vector<SimTime> deliveries;
   for (int i = 0; i < 4; ++i) {
-    deliveries.push_back(network_.ProcessRecord(Record(0, 15, 8192)));
+    deliveries.push_back(network_.Admit(0, 0, 15, 8192));
   }
   const SimDuration ser = static_cast<SimDuration>(8192 / MeshParams{}.bandwidth_bytes_per_ns);
   for (size_t i = 1; i < deliveries.size(); ++i) {
@@ -114,7 +106,7 @@ TEST_F(NetworkTest, FanInSerializesAtReceiver) {
   // Many senders, one destination: ejection link serializes.
   std::vector<SimTime> deliveries;
   for (NodeId src = 1; src <= 8; ++src) {
-    deliveries.push_back(network_.ProcessRecord(Record(src, 0, 8192)));
+    deliveries.push_back(network_.Admit(0, src, 0, 8192));
   }
   const SimDuration ser = static_cast<SimDuration>(8192 / MeshParams{}.bandwidth_bytes_per_ns);
   for (size_t i = 1; i < deliveries.size(); ++i) {
@@ -123,16 +115,16 @@ TEST_F(NetworkTest, FanInSerializesAtReceiver) {
 }
 
 TEST_F(NetworkTest, DistinctPairsDoNotContend) {
-  const SimTime d1 = network_.ProcessRecord(Record(0, 1, 8192));
-  const SimTime d2 = network_.ProcessRecord(Record(2, 3, 8192));
+  const SimTime d1 = network_.Admit(0, 0, 1, 8192);
+  const SimTime d2 = network_.Admit(0, 2, 3, 8192);
   // Both complete in the uncontended time (equal hops, equal size).
   EXPECT_EQ(d1, network_.UncontendedLatency(0, 1, 8192));
   EXPECT_EQ(d2, network_.UncontendedLatency(2, 3, 8192));
 }
 
 TEST_F(NetworkTest, StatsCountMessagesAndBytes) {
-  network_.ProcessRecord(Record(0, 1, 100));
-  network_.ProcessRecord(Record(1, 2, 200));
+  network_.Admit(0, 0, 1, 100);
+  network_.Admit(0, 1, 2, 200);
   EXPECT_EQ(stats_.Get("mesh.messages"), 2);
   EXPECT_EQ(stats_.Get("mesh.bytes"), 300);
 }
@@ -144,8 +136,10 @@ TEST_F(NetworkTest, FartherNodesTakeLonger) {
 TEST(NetworkDeathTest, LocalSendRejected) {
   StatsRegistry stats;
   TraceSink trace;
-  Network network(Topology(2, 2), MeshParams{}, stats, trace);
-  EXPECT_DEATH(network.ProcessRecord(Record(1, 1, 32)), "local delivery");
+  Engine engine;
+  FaultPlan fault(engine, FaultPlanParams{}, 4, stats);
+  Network network(Topology(2, 2), MeshParams{}, fault, stats, trace);
+  EXPECT_DEATH(network.Admit(0, 1, 1, 32), "local delivery");
 }
 
 }  // namespace

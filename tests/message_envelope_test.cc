@@ -179,14 +179,6 @@ TEST(MessageEnvelopeTest, XmmBodiesRoundTrip) {
   }
 }
 
-TEST(MessageEnvelopeTest, PagerControlRoundTrips) {
-  Message msg;
-  msg.protocol = ProtocolId::kPagerControl;
-  msg.type = static_cast<uint32_t>(PagerMsgType::kControl);
-  msg.body = PagerBody{PagerControlMsg{99}};
-  EXPECT_EQ((Unwrap<PagerControlMsg, PagerBody>(msg).token), 99u);
-}
-
 TEST(MessageEnvelopeTest, WireBytesUnchangedByTypedBody) {
   // The body is simulator-side metadata; the wire carries the fixed control
   // block plus the optional page, exactly as before the typed envelope.
@@ -211,7 +203,6 @@ TEST(MessageEnvelopeTest, MsgTypeNameCoversEveryType) {
 
   EXPECT_STREQ(ProtocolName(ProtocolId::kAsvm), "asvm");
   EXPECT_STREQ(ProtocolName(ProtocolId::kXmm), "xmm");
-  EXPECT_STREQ(ProtocolName(ProtocolId::kPagerControl), "pager");
 }
 
 TEST(MessageEnvelopeTest, VisitDispatchesByAlternative) {

@@ -425,7 +425,7 @@ TEST(ShardedDeterminismTest, KillManagerRecoveryMatchesAcrossShardCounts) {
 
 // --- Mutation-ordering unit test --------------------------------------------------
 
-TEST(ClusterMutatorTest, SameTimestampMutationsApplyInNodeSeqOrder) {
+TEST(ClusterMutateTest, SameTimestampMutationsApplyInNodeSeqOrder) {
   // Four mutations enqueued from driver context (all engines at t=0) out of
   // node order must apply in (origin node, per-origin seq) order — the rule
   // that makes the apply sequence identical at every shard count.
@@ -437,10 +437,10 @@ TEST(ClusterMutatorTest, SameTimestampMutationsApplyInNodeSeqOrder) {
     Machine machine(config);
     Cluster& cluster = machine.cluster();
     std::vector<int> log;
-    cluster.mutator().Enqueue(4, [&log]() { log.push_back(40); });
-    cluster.mutator().Enqueue(0, [&log]() { log.push_back(1); });
-    cluster.mutator().Enqueue(2, [&log]() { log.push_back(20); });
-    cluster.mutator().Enqueue(0, [&log]() { log.push_back(2); });
+    cluster.Mutate(4, [&log]() { log.push_back(40); });
+    cluster.Mutate(0, [&log]() { log.push_back(1); });
+    cluster.Mutate(2, [&log]() { log.push_back(20); });
+    cluster.Mutate(0, [&log]() { log.push_back(2); });
     machine.Run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 20, 40})) << "at shards=" << shards;
   }
@@ -463,13 +463,13 @@ TEST(ClusterFabricTest, SameInstantSendsReplayInSourceOrderAtEveryShardCount) {
     params.shards = shards;
     Cluster cluster(params);
     Log log;
-    cluster.sts().RegisterHandler(ProtocolId::kPagerControl, 0, [&](NodeId src, Message) {
+    cluster.sts().RegisterHandler(ProtocolId::kIvy, 0, [&](NodeId src, Message) {
       log.emplace_back(src, cluster.engine_for(0).Now());
     });
     for (NodeId src : {3, 1}) {
       cluster.engine_for(src).Schedule(0, [&cluster, src]() {
         Message msg;
-        msg.protocol = ProtocolId::kPagerControl;
+        msg.protocol = ProtocolId::kIvy;
         cluster.sts().Send(src, 0, std::move(msg));
       });
     }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/shard_mailbox.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/time.h"
 
 namespace asvm {
@@ -96,74 +99,6 @@ TEST(EngineTest, ExecutedEventsCounts) {
   }
   engine.Run();
   EXPECT_EQ(engine.executed_events(), 17u);
-}
-
-TEST(EngineStallTest, SilentWhenNoProbeReportsBlockedWork) {
-  Engine engine;
-  std::string stall;
-  engine.SetStallHandler([&](const std::string& report) { stall = report; });
-  engine.AddStallProbe([](std::string&) { return false; });
-  engine.Schedule(10, []() {});
-  engine.Run();
-  EXPECT_TRUE(stall.empty());
-  EXPECT_EQ(engine.stalls_detected(), 0u);
-}
-
-TEST(EngineStallTest, FiresWhenQueueDrainsWithBlockedWork) {
-  Engine engine;
-  // Model an orphaned pending op: a reply that will never be scheduled. The
-  // probe is the agent-side registry that still holds the entry.
-  bool op_resolved = false;
-  engine.AddStallProbe([&](std::string& report) {
-    if (op_resolved) {
-      return false;
-    }
-    report += "  asvm node 3: pending op 17 (invalidate-round) awaiting 1 reply\n";
-    return true;
-  });
-  std::string stall;
-  engine.SetStallHandler([&](const std::string& report) { stall = report; });
-  engine.Schedule(5 * kMicrosecond, []() {});  // unrelated traffic; then silence
-  engine.Run();
-  EXPECT_EQ(engine.stalls_detected(), 1u);
-  // The report names the culprit and the stall time.
-  EXPECT_NE(stall.find("simulation stalled at t=5000 ns"), std::string::npos) << stall;
-  EXPECT_NE(stall.find("pending op 17 (invalidate-round)"), std::string::npos) << stall;
-
-  // Once the op resolves, further drains are clean.
-  op_resolved = true;
-  stall.clear();
-  engine.Schedule(kMicrosecond, []() {});
-  engine.Run();
-  EXPECT_TRUE(stall.empty());
-  EXPECT_EQ(engine.stalls_detected(), 1u);
-}
-
-TEST(EngineStallTest, RemovedProbeNoLongerFires) {
-  Engine engine;
-  std::string stall;
-  engine.SetStallHandler([&](const std::string& report) { stall = report; });
-  const int id = engine.AddStallProbe([](std::string& report) {
-    report += "  blocked\n";
-    return true;
-  });
-  engine.RemoveStallProbe(id);
-  engine.Schedule(1, []() {});
-  engine.Run();
-  EXPECT_TRUE(stall.empty());
-}
-
-TEST(EngineStallTest, NoHandlerMeansNoChecks) {
-  Engine engine;
-  int probed = 0;
-  engine.AddStallProbe([&](std::string&) {
-    ++probed;
-    return true;
-  });
-  engine.Schedule(1, []() {});
-  engine.Run();
-  EXPECT_EQ(probed, 0);  // probes only run when a handler wants the report
-  EXPECT_EQ(engine.stalls_detected(), 0u);
 }
 
 TEST(EngineDeathTest, NegativeDelayAborts) {
@@ -279,6 +214,74 @@ TEST(SchedulerKindTest, FromNameRejectsUnknownNamesWithoutWriting) {
   SchedulerKind kind = SchedulerKind::kReference;
   EXPECT_FALSE(SchedulerKindFromName("quantum", &kind));
   EXPECT_EQ(kind, SchedulerKind::kReference);  // *out untouched on failure
+}
+
+// --- ShardMailbox ------------------------------------------------------------
+
+// Six nodes in three shards of two: nodes {0,1}, {2,3}, {4,5}.
+class ShardMailboxTest : public ::testing::Test {
+ protected:
+  ShardMailboxTest() : engines_(3, 6, 2, SchedulerKind::kTimerWheel), mailbox_(engines_) {}
+
+  // Drains every collected entry as (time, src, value).
+  std::vector<std::tuple<SimTime, NodeId, int>> PopAll() {
+    std::vector<std::tuple<SimTime, NodeId, int>> out;
+    while (mailbox_.NextTime() != ShardMailbox<int>::kNever) {
+      ShardMailbox<int>::Entry e = mailbox_.Pop();
+      out.emplace_back(e.time, e.src, e.value);
+    }
+    return out;
+  }
+
+  ShardedEngine engines_;
+  ShardMailbox<int> mailbox_;
+};
+
+TEST_F(ShardMailboxTest, EqualTimePostsPopInSourceThenSeqOrder) {
+  // Posted out of source order from sources on every shard; equal times pop
+  // by source node, then by each source's own post order (node 2's values
+  // descend, so only the seq can order them).
+  mailbox_.Post(7, 5, 50);
+  mailbox_.Post(7, 2, 23);
+  mailbox_.Post(7, 0, 1);
+  mailbox_.Post(3, 4, 40);
+  mailbox_.Post(7, 2, 22);
+  mailbox_.Post(7, 0, 2);
+  mailbox_.Post(7, 2, 21);
+  mailbox_.Post(7, 2, 20);
+  mailbox_.Collect();
+  using E = std::tuple<SimTime, NodeId, int>;
+  EXPECT_EQ(PopAll(), (std::vector<E>{{3, 4, 40},
+                                      {7, 0, 1},
+                                      {7, 0, 2},
+                                      {7, 2, 23},
+                                      {7, 2, 22},
+                                      {7, 2, 21},
+                                      {7, 2, 20},
+                                      {7, 5, 50}}));
+}
+
+TEST_F(ShardMailboxTest, PostsAfterCollectWaitForTheNextCollect) {
+  mailbox_.Post(10, 1, 1);
+  mailbox_.Collect();
+  mailbox_.Post(5, 3, 2);  // earlier, but not collected yet
+  EXPECT_EQ(mailbox_.NextTime(), 10);
+  EXPECT_EQ(mailbox_.Pop().value, 1);
+  EXPECT_EQ(mailbox_.NextTime(), ShardMailbox<int>::kNever);
+  mailbox_.Collect();
+  EXPECT_EQ(mailbox_.NextTime(), 5);
+  EXPECT_EQ(mailbox_.Pop().value, 2);
+}
+
+TEST_F(ShardMailboxTest, EmptyCountsEntriesStillInOutboxes) {
+  EXPECT_TRUE(mailbox_.Empty());
+  mailbox_.Post(1, 4, 4);
+  EXPECT_FALSE(mailbox_.Empty());  // posted, not yet collected
+  EXPECT_EQ(mailbox_.NextTime(), ShardMailbox<int>::kNever);
+  mailbox_.Collect();
+  EXPECT_FALSE(mailbox_.Empty());
+  mailbox_.Pop();
+  EXPECT_TRUE(mailbox_.Empty());
 }
 
 }  // namespace

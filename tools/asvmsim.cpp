@@ -399,10 +399,10 @@ int RunFaultSweep(Machine& machine, const Options& opts, bool failover) {
   // Recovery phase: cross the plan's removals, then access through the
   // promotion — the read pays silence detection plus backup promotion, the
   // write runs against the already-promoted manager.
-  const FaultPlan* plan = machine.fault_plan();
+  const FaultPlan& plan = machine.fault_plan();
   SimTime last_removal = 0;
   SimTime last_restore = 0;
-  for (const NodeRemoval& r : plan->params().removals) {
+  for (const NodeRemoval& r : plan.params().removals) {
     last_removal = std::max(last_removal, r.at);
     last_restore = std::max(last_restore, r.restore_at);
   }
@@ -414,7 +414,7 @@ int RunFaultSweep(Machine& machine, const Options& opts, bool failover) {
   NodeId survivor_reader = kInvalidNode;
   NodeId survivor_writer = kInvalidNode;
   for (NodeId n = 2; n < static_cast<NodeId>(opts.nodes); ++n) {
-    if (!plan->NodeAlive(n, machine.Now())) {
+    if (!plan.NodeAlive(n, machine.Now())) {
       continue;
     }
     if (survivor_reader == kInvalidNode) {
@@ -448,7 +448,7 @@ int RunFaultSweep(Machine& machine, const Options& opts, bool failover) {
     // able to fault the region in again.
     AdvanceJustPast(machine, last_restore);
     NodeId rejoined_node = 0;
-    for (const NodeRemoval& r : plan->params().removals) {
+    for (const NodeRemoval& r : plan.params().removals) {
       if (r.restore_at == last_restore) {
         rejoined_node = r.node;
         break;
@@ -618,8 +618,8 @@ int Run(const Options& opts) {
   }
   if (opts.fault_report) {
     std::printf("\nfault report:\n");
-    if (machine.fault_plan() != nullptr) {
-      std::printf("%s", machine.fault_plan()->Describe().c_str());
+    if (!machine.fault_plan().params().Empty()) {
+      std::printf("%s", machine.fault_plan().Describe().c_str());
     } else {
       std::printf("  faults disabled\n");
     }
