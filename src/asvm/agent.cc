@@ -437,11 +437,7 @@ void AsvmAgent::SendRequest(NodeId to, const AccessRequest& req) {
 }
 
 void AsvmAgent::SendReply(NodeId to, const AccessReply& reply, PageBuffer data) {
-  if (to == node_) {
-    // Local grant: apply directly (with the local handoff charged by Send).
-    Send(to, AsvmMsgType::kAccessReply, reply, std::move(data));
-    return;
-  }
+  // A local grant goes through Send too, which charges the local handoff.
   Send(to, AsvmMsgType::kAccessReply, reply, std::move(data));
 }
 

@@ -55,7 +55,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.page_version = 0;
     reply.terminal = req.terminal;
     counters_.pull_served_by_owner.Add(stats_, "asvm.pull_served_by_owner");
-    SendReply(req.origin, reply, ClonePage(vp->data));
+    SendReply(req.origin, reply, vp->Share());
     return;
   }
 
@@ -77,7 +77,7 @@ void AsvmAgent::ServeAsOwner(AccessRequest req) {
     reply.ownership = false;
     reply.page_version = ps.version;
     counters_.read_grants.Add(stats_, "asvm.read_grants");
-    SendReply(req.origin, reply, ClonePage(vp->data));
+    SendReply(req.origin, reply, vp->Share());
     return;
   }
 
@@ -92,8 +92,7 @@ Task AsvmAgent::OwnerGrantWrite(AccessRequest req) {
   ps.busy = true;
   vm_.WirePage(*os.repr, req.page);
 
-  VmPage* vp = os.repr->FindResident(req.page);
-  PageBuffer pre_write = ClonePage(vp->data);
+  PageBuffer pre_write = os.repr->FindResident(req.page)->Share();
 
   // Delayed-copy rule: the pre-write contents must reach every copy of the
   // object before the page may be modified (§3.7.2).
@@ -124,7 +123,7 @@ Task AsvmAgent::OwnerGrantWrite(AccessRequest req) {
     counters_.write_grants.Add(stats_, "asvm.write_grants");
   }
   vm_.UnwirePage(*os.repr, req.page);
-  SendReply(req.origin, reply, upgrade ? nullptr : ClonePage(pre_write));
+  SendReply(req.origin, reply, upgrade ? nullptr : std::move(pre_write));
 
   vm_.LockRequest(*os.repr, req.page, PageAccess::kNone, LockMode::kFlush,
                   [](LockResult) {});
@@ -156,8 +155,7 @@ Task AsvmAgent::SelfUpgrade(MemObjectId id, PageIndex page) {
   ps.busy = true;
   vm_.WirePage(*os.repr, page);
 
-  VmPage* vp = os.repr->FindResident(page);
-  PageBuffer pre_write = ClonePage(vp->data);
+  PageBuffer pre_write = os.repr->FindResident(page)->Share();
 
   Promise<uint64_t> version_done(vm_.engine());
   (void)PushIfNeeded(id, page, pre_write, ps.version, version_done);
@@ -475,7 +473,7 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
       rp != nullptr && rp->data != nullptr) {
     // Promotion seeded this page from the old home's shadow stream; the
     // fresh paging space has nothing newer.
-    data = ClonePage(rp->data);
+    data = rp->data;
     version = rp->version;
     counters_.recovered_serves.Add(stats_, "asvm.recovered_serves");
   } else if (info.backing->HasData(req.page)) {
@@ -511,7 +509,7 @@ Task AsvmAgent::ServeFromBacking(AccessRequest req) {
     hp.last_owner = req.origin;
   }
   Trace(TraceKind::kServeTerminal, req.search, req.page, req.origin, 0, req.req_id);
-  SendReply(req.origin, reply, data != nullptr ? ClonePage(data) : nullptr);
+  SendReply(req.origin, reply, std::move(data));
 }
 
 Task AsvmAgent::ServeByPull(AccessRequest req) {

@@ -104,11 +104,9 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
   for (NodeId target : candidates) {
     const uint64_t op = OpenRound({target}, "pageout-offer", id, page);
     Future<Status> replied = OpFuture(op);
-    Send(target, AsvmMsgType::kPageoutOffer, PageoutOffer{id, page, version, dirty, op},
-         ClonePage(data));
+    Send(target, AsvmMsgType::kPageoutOffer, PageoutOffer{id, page, version, dirty, op}, data);
     ArmOp(op, [this, target, id, page, version, dirty, data, op]() {
-      Send(target, AsvmMsgType::kPageoutOffer, PageoutOffer{id, page, version, dirty, op},
-           ClonePage(data));
+      Send(target, AsvmMsgType::kPageoutOffer, PageoutOffer{id, page, version, dirty, op}, data);
     });
     Status s = co_await replied;
     if (IsOk(s)) {
@@ -135,15 +133,13 @@ Task AsvmAgent::EvictionTask(MemObjectId id, PageIndex page, PageBuffer data, bo
     const NodeId home = info.Terminal(page);
     WritebackMsg m{id, page, version, dirty, op};
     if (home == node_) {
-      OnWriteback(node_, m, ClonePage(data));
+      OnWriteback(node_, m, data);
     } else {
       if (PendingOp* pending = FindOp(op); pending != nullptr) {
         pending->targets = {home};
       }
-      Send(home, AsvmMsgType::kWriteback, m, ClonePage(data));
-      ArmOp(op, [this, home, m, data]() {
-        Send(home, AsvmMsgType::kWriteback, m, ClonePage(data));
-      });
+      Send(home, AsvmMsgType::kWriteback, m, data);
+      ArmOp(op, [this, home, m, data]() { Send(home, AsvmMsgType::kWriteback, m, data); });
     }
     const Status ws = co_await acked;
     if (!IsOk(ws) && failover_.enabled && !info.IsCopy()) {
@@ -318,8 +314,7 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
                       [lock_done](LockResult) { lock_done.Set(Status::kOk); });
       co_await lock_done.GetFuture();
     } else {
-      vm_.DataSupply(*os.repr, page, ClonePage(pre_write), PageAccess::kRead,
-                     SupplyMode::kPushToCopy);
+      vm_.DataSupply(*os.repr, page, pre_write, PageAccess::kRead, SupplyMode::kPushToCopy);
     }
     // The pushed page now lives in the copy object on this node; claim its
     // ownership in the copy space so scans and requests find it.
@@ -366,10 +361,10 @@ Task AsvmAgent::PushIfNeeded(MemObjectId id, PageIndex page, PageBuffer pre_writ
       const uint64_t op2 = OpenRound(need_data, "push-data-round", id, page);
       Future<Status> all_acked = OpFuture(op2);
       for (NodeId s : need_data) {
-        Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, ClonePage(pre_write));
+        Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, pre_write);
       }
       ArmRound(op2, [this, id, page, op2, pre_write](NodeId s) {
-        Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, ClonePage(pre_write));
+        Send(s, AsvmMsgType::kPushData, PushData{id, page, op2}, pre_write);
       });
       co_await all_acked;
     }

@@ -603,7 +603,7 @@ void AsvmSystem::HarvestReadCopy(const MemObjectId& id, PageIndex page, NodeId t
     }
     if (best == nullptr || ps->version > best_version) {
       best_version = ps->version;
-      best = ClonePage(vp->data);
+      best = vp->Share();
     }
     cluster_.vm(n).RemovePage(*ros->repr, page);
     ps->access = PageAccess::kNone;

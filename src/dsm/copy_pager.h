@@ -110,12 +110,12 @@ class InternalCopyPager {
                   CopyFaultReply{m.object, m.page, false, /*deadlock=*/s == Status::kDeadlock});
       co_return;
     }
-    std::byte* p = vm.TryAccess(*entry.copy_map, addr, PageAccess::kRead);
+    const std::byte* p = vm.TryRead(*entry.copy_map, addr);
     PageBuffer data;
     bool zero = true;
     if (p != nullptr) {
-      data = AllocPage(vm.page_size());
-      std::memcpy(data->data(), p - (addr % vm.page_size()), vm.page_size());
+      const std::byte* base = p - (addr % vm.page_size());
+      data = std::make_shared<std::vector<std::byte>>(base, base + vm.page_size());
       zero = PageIsZero(data);
     }
     threads_.Release();

@@ -28,16 +28,16 @@ void ShadowStream::MirrorToBackup(NodeId primary, const MemObjectId& id, PageInd
       ReplayShadowLedger(backup);
     }
     target_ = backup;
-    ledger_[id][page] = Page{version, ClonePage(data)};
+    ledger_[id][page] = Page{version, data};
   }
   agent_.dsm_.failover_counters().shadow_updates.Add(agent_.stats_, kStatShadowUpdates);
   if (backup == agent_.node()) {
     // We are the primary's backup ourselves (eviction redirect): no wire hop.
-    backup_[id][page] = Page{version, ClonePage(data)};
+    backup_[id][page] = Page{version, data};
     SendShadowManifest(id, page, version, backup);
     return;
   }
-  agent_.SendShadow(backup, /*manifest=*/false, ShadowUpdate{id, page, version}, ClonePage(data));
+  agent_.SendShadow(backup, /*manifest=*/false, ShadowUpdate{id, page, version}, data);
   SendShadowManifest(id, page, version, backup);
 }
 
@@ -59,8 +59,7 @@ void ShadowStream::ReplayShadowLedger(NodeId backup) {
   for (auto& [id, pages] : ledger_) {
     for (auto& [page, sp] : pages) {
       agent_.dsm_.failover_counters().shadow_restreams.Add(agent_.stats_, kStatShadowRestreams);
-      agent_.SendShadow(backup, /*manifest=*/false, ShadowUpdate{id, page, sp.version},
-                        ClonePage(sp.data));
+      agent_.SendShadow(backup, /*manifest=*/false, ShadowUpdate{id, page, sp.version}, sp.data);
       SendShadowManifest(id, page, sp.version, backup);
     }
   }

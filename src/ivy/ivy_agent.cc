@@ -359,7 +359,7 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
         FinishServe(id, req.page);
         co_return;
       }
-      PageBuffer data = st->pager_copy != nullptr ? ClonePage(st->pager_copy) : nullptr;
+      PageBuffer data = st->pager_copy;
       bool zero_fill = false;
       if (data != nullptr) {
         co_await Delay(engine, supply_cost);
@@ -465,10 +465,10 @@ Task IvyAgent::OwnerServe(IvyRequest req) {
     if (AccessAllows(vp->lock, PageAccess::kWrite)) {
       vp->lock = PageAccess::kRead;  // single-writer: downgrade our own copy
     }
-    data = ClonePage(vp->data);
+    data = vp->Share();
     co_await Delay(engine, supply_cost);
   } else if (st->pager_copy != nullptr) {
-    data = ClonePage(st->pager_copy);
+    data = st->pager_copy;
     co_await Delay(engine, supply_cost);
   } else if (is_home && info.backing->HasData(req.page)) {
     data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
@@ -586,11 +586,10 @@ EvictAction IvyAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
         // the write lands on the home's own timeline (shard safety).
         if (info.home == node_) {
           if (info.backing != nullptr) {
-            info.backing->Write(page, ClonePage(st->pager_copy), []() {});
+            info.backing->Write(page, st->pager_copy, []() {});
           }
         } else {
-          Send(info.home, IvyMsgType::kWriteback, IvyWriteback{id, page, true},
-               ClonePage(st->pager_copy));
+          Send(info.home, IvyMsgType::kWriteback, IvyWriteback{id, page, true}, st->pager_copy);
         }
       } else {
         // Anonymous page: the captured copy is the only replica — mirror it

@@ -43,7 +43,7 @@ bool IvySystem::HarvestNewestCopy(const MemObjectId& id, PageIndex page, NodeId 
         continue;
       }
       if (VmPage* vp = rit->second->FindResident(page); vp != nullptr) {
-        st->pager_copy = ClonePage(vp->data);
+        st->pager_copy = vp->Share();
         harvested = true;
       }
     }

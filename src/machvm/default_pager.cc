@@ -17,7 +17,7 @@ void DefaultPager::ReadPage(uint64_t object_serial, PageIndex page,
   auto it = store_.find(object_serial);
   ASVM_CHECK_MSG(it != store_.end() && it->second.count(page) != 0,
                  "default pager read of page not in paging space");
-  PageBuffer data = ClonePage(it->second[page]);
+  PageBuffer data = it->second[page];
   pageins_.Add(stats_, "default_pager.pageins");
   ASVM_CHECK_MSG(disk_ != nullptr, "paging without a paging disk");
   disk_->Read(PositionKey(object_serial, page), data->size(),
@@ -32,7 +32,7 @@ void DefaultPager::WritePage(uint64_t object_serial, PageIndex page, PageBuffer 
   if (!slot) {
     ++count_;
   }
-  slot = ClonePage(data);
+  slot = data;
   pageouts_.Add(stats_, "default_pager.pageouts");
   const size_t bytes = data->size();
   disk_->Write(PositionKey(object_serial, page), bytes, [done = std::move(done)]() {

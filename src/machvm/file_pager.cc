@@ -13,6 +13,9 @@ int32_t FilePager::CreateFile(const std::string& name, VmSize pages, bool prefil
   file.name = name;
   file.pages = pages;
   file.prefilled = prefilled;
+  if (prefilled) {
+    file.filled.resize(static_cast<size_t>(pages));
+  }
   files_.push_back(std::move(file));
   return static_cast<int32_t>(files_.size() - 1);
 }
@@ -44,7 +47,7 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
     auto it = file.written.find(page);
     if (it != file.written.end()) {
       // Recently written data still buffered in the pager.
-      done(ClonePage(it->second));
+      done(it->second);
       return;
     }
     if (!file.prefilled) {
@@ -55,9 +58,7 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
       // Read-ahead already brought this page into the pager's buffer.
       file.staged.erase(page);
       readahead_hits_.Add(stats_, "file_pager.readahead_hits");
-      auto data = AllocPage(page_size);
-      FillPattern(file_id, page, *data);
-      done(std::move(data));
+      done(Prefilled(file_id, page, page_size));
       return;
     }
     ASVM_CHECK_MSG(disk_ != nullptr, "file pager without a disk");
@@ -73,10 +74,8 @@ void FilePager::ReadPage(int32_t file_id, PageIndex page, size_t page_size,
     // Keyed by the cluster's last page so back-to-back clusters of a scan are
     // sequential on the spindle.
     disk_->Read(DiskPosition(file_id, page + std::max(0, ahead)), cluster_bytes,
-                [file_id, page, page_size, done = std::move(done)]() {
-                  auto data = AllocPage(page_size);
-                  FillPattern(file_id, page, *data);
-                  done(std::move(data));
+                [this, file_id, page, page_size, done = std::move(done)]() {
+                  done(Prefilled(file_id, page, page_size));
                 });
   });
 }
@@ -88,7 +87,7 @@ void FilePager::WritePage(int32_t file_id, PageIndex page, PageBuffer data,
   writes_.Add(stats_, "file_pager.writes");
   const size_t bytes = data->size();
   Process([this, file_id, page, bytes, data = std::move(data), done = std::move(done)]() {
-    files_[file_id].written[page] = ClonePage(data);
+    files_[file_id].written[page] = data;
     if (disk_ != nullptr) {
       // Asynchronous write-behind: completion is not awaited by anyone.
       disk_->Write(DiskPosition(file_id, page), bytes, []() {});
@@ -108,6 +107,19 @@ void FilePager::GrantFresh(int32_t file_id, PageIndex page, std::function<void()
       done();
     }
   });
+}
+
+PageBuffer FilePager::Prefilled(int32_t file_id, PageIndex page, size_t page_size) {
+  File& file = files_[file_id];
+  ASVM_CHECK_MSG(page >= 0 && static_cast<VmSize>(page) < file.pages, "read past end of file");
+  PageBuffer& slot = file.filled[static_cast<size_t>(page)];
+  if (slot == nullptr) {
+    auto bytes = std::make_shared<std::vector<std::byte>>(page_size);
+    FillPattern(file_id, page, *bytes);
+    slot = std::move(bytes);
+  }
+  ASVM_CHECK_MSG(slot->size() == page_size, "file page read at two page sizes");
+  return slot;
 }
 
 void FilePager::FillPattern(int32_t file_id, PageIndex page, std::vector<std::byte>& out) {

@@ -72,7 +72,15 @@ class FilePager {
     std::unordered_map<PageIndex, PageBuffer> written;
     // Pages staged in the pager's buffer by read-ahead; served without disk.
     std::unordered_map<PageIndex, bool> staged;
+    // Host-side memo of a prefilled file's contents, one buffer per page,
+    // generated on the page's first read and shared by every later one. It
+    // only saves regenerating the bytes: which reads go to disk is decided by
+    // `staged` and `written` alone.
+    std::vector<PageBuffer> filled;
   };
+
+  // The contents of a prefilled page (FillPattern), from the memo.
+  PageBuffer Prefilled(int32_t file_id, PageIndex page, size_t page_size);
 
   // Serializes `fn` through the pager's single CPU with the per-request cost.
   void Process(std::function<void()> fn);

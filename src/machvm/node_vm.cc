@@ -208,13 +208,13 @@ bool NodeVm::CopyHasPage(VmObject& copy, PageIndex page) const {
   return default_pager_ != nullptr && default_pager_->HasPage(copy.serial(), page);
 }
 
-bool NodeVm::PushToLocalCopy(VmObject& source, PageIndex page, const PageBuffer& pre_write) {
+bool NodeVm::PushToLocalCopy(VmObject& source, PageIndex page, VmPage& from) {
   VmObject* copy = source.copy().get();
   if (copy == nullptr || CopyHasPage(*copy, page)) {
     return false;
   }
   // Pushed pages exist nowhere else from the copy's point of view: dirty.
-  InstallPage(*copy, page, ClonePage(pre_write), PageAccess::kWrite, /*dirty=*/true);
+  InstallPage(*copy, page, from.Share(), PageAccess::kWrite, /*dirty=*/true);
   counters_.local_pushes.Add(stats_, "vm.local_pushes");
   return true;
 }
@@ -321,17 +321,18 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
       }
       case Classified::Kind::kZeroFill: {
         co_await Delay(engine_, params_.costs.zero_fill_ns);
-        InstallPage(*c.target, c.page, AllocPage(params_.page_size), PageAccess::kWrite,
-                    /*dirty=*/desired == PageAccess::kWrite);
+        InstallZeroPage(*c.target, c.page, PageAccess::kWrite,
+                        /*dirty=*/desired == PageAccess::kWrite);
         counters_.zero_fills.Add(stats_, "vm.zero_fills");
         continue;
       }
       case Classified::Kind::kCowCopy: {
         // Pre-write contents must reach the copy chain before the write is
-        // visible in the source (delayed-copy push rule).
-        PageBuffer pre_write = c.found->data;
-        bool pushed = PushToLocalCopy(*c.target, c.page, pre_write);
-        InstallPage(*c.target, c.page, ClonePage(pre_write), PageAccess::kWrite,
+        // visible in the source (delayed-copy push rule). The top object takes
+        // the same contents; the write that follows copies them.
+        PageBuffer pre_write = c.found->Share();
+        bool pushed = PushToLocalCopy(*c.target, c.page, *c.found);
+        InstallPage(*c.target, c.page, std::move(pre_write), PageAccess::kWrite,
                     /*dirty=*/true);
         counters_.cow_copies.Add(stats_, "vm.cow_copies");
         co_await Delay(engine_, params_.costs.page_copy_ns * (pushed ? 2 : 1));
@@ -340,7 +341,7 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
       case Classified::Kind::kNeedLocalPush: {
         VmPage* vp = c.target->FindResident(c.page);
         ASVM_CHECK(vp != nullptr);
-        PushToLocalCopy(*c.target, c.page, vp->data);
+        PushToLocalCopy(*c.target, c.page, *vp);
         co_await Delay(engine_, params_.costs.page_copy_ns);
         continue;
       }
@@ -348,15 +349,21 @@ Task NodeVm::FaultTask(VmMap& map, VmOffset addr, PageAccess desired, Promise<St
   }
 }
 
-std::byte* NodeVm::TryAccess(VmMap& map, VmOffset addr, PageAccess desired) {
-  Classified c = Classify(map, addr, desired);
+const std::byte* NodeVm::TryRead(VmMap& map, VmOffset addr) {
+  Classified c = Classify(map, addr, PageAccess::kRead);
   if (c.kind != Classified::Kind::kResolved) {
     return nullptr;
   }
-  if (desired == PageAccess::kWrite) {
-    c.found->dirty = true;
+  return c.found->contents().data() + (addr % params_.page_size);
+}
+
+std::byte* NodeVm::TryWrite(VmMap& map, VmOffset addr) {
+  Classified c = Classify(map, addr, PageAccess::kWrite);
+  if (c.kind != Classified::Kind::kResolved) {
+    return nullptr;
   }
-  return c.found->data->data() + (addr % params_.page_size);
+  c.found->dirty = true;
+  return c.found->Writable() + (addr % params_.page_size);
 }
 
 // --- EMMI kernel side --------------------------------------------------------
@@ -383,7 +390,7 @@ void NodeVm::DataSupply(VmObject& object, PageIndex page, PageBuffer data, PageA
 }
 
 void NodeVm::DataUnavailable(VmObject& object, PageIndex page, PageAccess lock) {
-  InstallPage(object, page, AllocPage(params_.page_size), lock, /*dirty=*/false);
+  InstallZeroPage(object, page, lock, /*dirty=*/false);
   object.ClearOutstandingRequest(page);
   object.WakeWaiters(page, Status::kOk);
   counters_.data_unavailable.Add(stats_, "vm.data_unavailable");
@@ -412,7 +419,7 @@ void NodeVm::LockRequest(VmObject& object, PageIndex page, PageAccess new_lock, 
   }
   SimDuration cost = params_.costs.pager_call_ns;
   if (mode == LockMode::kPushAndLock || mode == LockMode::kPushAndFlush) {
-    if (PushToLocalCopy(object, page, vp->data)) {
+    if (PushToLocalCopy(object, page, *vp)) {
       cost += params_.costs.page_copy_ns;
     }
   }
@@ -434,7 +441,7 @@ void NodeVm::PullRequest(VmObject& object, PageIndex page,
     if (vp != nullptr) {
       PullResult r;
       r.kind = PullResult::Kind::kData;
-      r.data = ClonePage(vp->data);
+      r.data = vp->Share();
       engine_.Schedule(params_.costs.pager_call_ns,
                        [completed = std::move(completed), r]() { completed(r); });
       return;
@@ -474,7 +481,7 @@ NodeVm::Extracted NodeVm::ExtractPage(VmObject& object, PageIndex page) {
     return result;
   }
   result.was_resident = true;
-  result.data = vp->data;
+  result.data = vp->Share();
   result.dirty = vp->dirty;
   RemovePage(object, page);
   return result;
@@ -491,6 +498,13 @@ VmPage& NodeVm::InstallPage(VmObject& object, PageIndex page, PageBuffer data, P
   VmPage& vp = object.InsertPage(page, std::move(data), lock, dirty);
   vp.last_use = tick_++;
   evict_queue_.push_back(EvictRef{object.weak_from_this(), page, vp.last_use});
+  return vp;
+}
+
+VmPage& NodeVm::InstallZeroPage(VmObject& object, PageIndex page, PageAccess lock,
+                                bool dirty) {
+  VmPage& vp = InstallPage(object, page, nullptr, lock, dirty);
+  vp.HoldPrivately(std::make_shared<std::vector<std::byte>>(params_.page_size));
   return vp;
 }
 
@@ -537,7 +551,7 @@ Status NodeVm::EvictOnePage() {
       continue;
     }
 
-    PageBuffer data = vp->data;
+    PageBuffer data = vp->Share();
     const bool dirty = vp->dirty;
     counters_.pageouts.Add(stats_, "vm.pageouts");
     if (object->managed()) {

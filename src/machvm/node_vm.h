@@ -88,10 +88,14 @@ class NodeVm {
   // completes when the access may proceed (or with an error status).
   Future<Status> Fault(VmMap& map, VmOffset addr, PageAccess desired);
 
-  // Fast path: returns a pointer to the byte at addr if the access can
-  // proceed right now without any fault activity, nullptr otherwise. A write
-  // access marks the page dirty.
-  std::byte* TryAccess(VmMap& map, VmOffset addr, PageAccess desired);
+  // Fast paths: a pointer to the byte at addr if the access can proceed
+  // right now without any fault activity, nullptr otherwise. A read sees the
+  // contents in place, read-only: they may be shared.
+  const std::byte* TryRead(VmMap& map, VmOffset addr);
+  // The one writer of page contents: marks the page dirty and, unless the
+  // page holds its contents privately, copies them first (copy on first
+  // write). No other code gets a writable pointer into a page.
+  std::byte* TryWrite(VmMap& map, VmOffset addr);
 
   // --- EMMI: kernel-side entry points for pagers ----------------------------
 
@@ -198,9 +202,12 @@ class NodeVm {
   // i.e. no push is needed before modifying the source.
   bool CopyHasPage(VmObject& copy, PageIndex page) const;
 
-  // Pushes pre-write contents into the object's copy (if needed). Returns
-  // true if a push happened.
-  bool PushToLocalCopy(VmObject& source, PageIndex page, const PageBuffer& pre_write);
+  // Pushes `from`'s pre-write contents into the source's copy (if needed).
+  // Returns true if a push happened.
+  bool PushToLocalCopy(VmObject& source, PageIndex page, VmPage& from);
+
+  // Installs a zero-filled page the VM holds privately.
+  VmPage& InstallZeroPage(VmObject& object, PageIndex page, PageAccess lock, bool dirty);
 
   bool ReserveFrame();
   void ReleaseFrame();

@@ -11,6 +11,13 @@ bool StraddlesPage(VmOffset addr, size_t width, size_t page_size) {
   return addr / page_size != (addr + width - 1) / page_size;
 }
 
+// True when the access can proceed without a fault (a write marks the page
+// dirty, as the write that follows would).
+bool Accessible(NodeVm& vm, VmMap& map, VmOffset addr, PageAccess desired) {
+  return desired == PageAccess::kWrite ? vm.TryWrite(map, addr) != nullptr
+                                       : vm.TryRead(map, addr) != nullptr;
+}
+
 }  // namespace
 
 Future<Status> TaskMemory::Touch(VmOffset addr, VmSize len, PageAccess desired) {
@@ -19,7 +26,7 @@ Future<Status> TaskMemory::Touch(VmOffset addr, VmSize len, PageAccess desired) 
   const size_t ps = map_.page_size();
   bool all_ok = true;
   for (VmOffset a = addr & ~(ps - 1); a < addr + len; a += ps) {
-    if (vm_.TryAccess(map_, a, desired) == nullptr) {
+    if (!Accessible(vm_, map_, a, desired)) {
       all_ok = false;
       break;
     }
@@ -36,7 +43,7 @@ Task TaskMemory::TouchTask(VmOffset addr, VmSize len, PageAccess desired,
                            Promise<Status> done) {
   const size_t ps = map_.page_size();
   for (VmOffset a = addr & ~(ps - 1); a < addr + len; a += ps) {
-    if (vm_.TryAccess(map_, a, desired) != nullptr) {
+    if (Accessible(vm_, map_, a, desired)) {
       continue;
     }
     Status s = co_await vm_.Fault(map_, a, desired);
@@ -98,7 +105,7 @@ Task TaskMemory::WriteU64Task(VmOffset addr, uint64_t value, Promise<Status> don
 }
 
 bool TaskMemory::TryReadU64(VmOffset addr, uint64_t* out) {
-  std::byte* p = vm_.TryAccess(map_, addr, PageAccess::kRead);
+  const std::byte* p = vm_.TryRead(map_, addr);
   if (p == nullptr) {
     return false;
   }
@@ -107,7 +114,7 @@ bool TaskMemory::TryReadU64(VmOffset addr, uint64_t* out) {
 }
 
 bool TaskMemory::TryWriteU64(VmOffset addr, uint64_t value) {
-  std::byte* p = vm_.TryAccess(map_, addr, PageAccess::kWrite);
+  std::byte* p = vm_.TryWrite(map_, addr);
   if (p == nullptr) {
     return false;
   }
@@ -127,7 +134,7 @@ Task TaskMemory::ReadBytesTask(VmOffset addr, std::span<std::byte> out, Promise<
   while (copied < out.size()) {
     const VmOffset a = addr + copied;
     const size_t in_page = std::min(out.size() - copied, ps - (a % ps));
-    std::byte* p = vm_.TryAccess(map_, a, PageAccess::kRead);
+    const std::byte* p = vm_.TryRead(map_, a);
     if (p == nullptr) {
       Status s = co_await vm_.Fault(map_, a, PageAccess::kRead);
       if (!IsOk(s)) {
@@ -155,7 +162,7 @@ Task TaskMemory::WriteBytesTask(VmOffset addr, std::span<const std::byte> in,
   while (copied < in.size()) {
     const VmOffset a = addr + copied;
     const size_t in_page = std::min(in.size() - copied, ps - (a % ps));
-    std::byte* p = vm_.TryAccess(map_, a, PageAccess::kWrite);
+    std::byte* p = vm_.TryWrite(map_, a);
     if (p == nullptr) {
       Status s = co_await vm_.Fault(map_, a, PageAccess::kWrite);
       if (!IsOk(s)) {

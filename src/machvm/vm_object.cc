@@ -21,7 +21,7 @@ VmPage& VmObject::InsertPage(PageIndex page, PageBuffer data, PageAccess lock, b
   ASVM_CHECK_MSG(page >= 0 && static_cast<VmSize>(page) < page_count_,
                  "page index out of object bounds");
   VmPage& vp = resident_[page];
-  vp.data = std::move(data);
+  vp.Hold(std::move(data));  // a reused slot must not stay private
   vp.lock = lock;
   vp.dirty = dirty;
   vp.wire_count = 0;

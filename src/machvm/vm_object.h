@@ -71,7 +71,8 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   const std::unordered_map<PageIndex, VmPage>& resident_pages() const { return resident_; }
 
   // Inserts a resident page (the caller must have reserved a frame through
-  // NodeVm). Replaces any existing page.
+  // NodeVm). Replaces any existing page; the page holds `data` shared, never
+  // privately, even when the slot is reused.
   VmPage& InsertPage(PageIndex page, PageBuffer data, PageAccess lock, bool dirty);
 
   // Removes residency; the caller is responsible for frame release (NodeVm

@@ -46,7 +46,10 @@ struct Overloaded : Ts... {
 template <typename... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
-using PageBuffer = std::shared_ptr<std::vector<std::byte>>;
+// Page contents travel by reference and are immutable once shared: every
+// holder (message, pager store, VM page) reads the same bytes, and a writer
+// copies first (src/machvm/page.h).
+using PageBuffer = std::shared_ptr<const std::vector<std::byte>>;
 
 struct Message {
   ProtocolId protocol = ProtocolId::kAsvm;

@@ -134,7 +134,7 @@ EvictAction XmmAgent::OnEvict(VmObject& object, PageIndex page, PageBuffer data,
   }
   XmmFlushWriteReply ret{object.id(), page, /*dirty=*/true, /*was_resident=*/true,
                          /*op_id=*/0};
-  Send(info.home, XmmMsgType::kFlushWriteReply, ret, ClonePage(data));
+  Send(info.home, XmmMsgType::kFlushWriteReply, ret, std::move(data));
   return EvictAction::kTaken;
 }
 
@@ -278,8 +278,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
         // written to the paging space when first requested by another node.
         Promise<Status> written(engine);
         if (info.backing != nullptr) {
-          info.backing->Write(req.page, ClonePage(data),
-                              [written]() { written.Set(Status::kOk); });
+          info.backing->Write(req.page, data, [written]() { written.Set(Status::kOk); });
           co_await written.GetFuture();
           counters_.dirty_cleanings.Add(stats_, "xmm.dirty_cleanings");
           if (Deposed(info)) {
@@ -335,7 +334,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
   } else if (ctl.pager_copy != nullptr) {
     // The pager already holds a coherent in-memory copy.
     co_await Delay(engine, supply_cost);
-    data = ClonePage(ctl.pager_copy);
+    data = ctl.pager_copy;
   } else if (info.backing != nullptr && info.backing->HasData(req.page)) {
     data = co_await info.backing->ReadAsync(engine, req.page, vm_.page_size());
     co_await Delay(engine, info.file_backed ? 0 : system_.config().pager_supply_ns);
@@ -438,8 +437,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
       auto repr = reprs_.at(m.object);
       NodeVm::Extracted ex = vm_.ExtractPage(*repr, m.page);
       XmmFlushWriteReply reply{m.object, m.page, ex.dirty, ex.was_resident, m.op_id};
-      Send(src, XmmMsgType::kFlushWriteReply, reply,
-           ex.was_resident ? ClonePage(ex.data) : nullptr);
+      Send(src, XmmMsgType::kFlushWriteReply, reply, std::move(ex.data));
       counters_.write_flushes.Add(stats_, "xmm.write_flushes");
       return;
     }
@@ -453,7 +451,7 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
         AccessByte(ms, m.page, src) = 0;
         DirectoryRecord& info = system_.info(m.object);
         if (info.backing != nullptr && m.dirty) {
-          info.backing->Write(m.page, ClonePage(ctl.pager_copy), []() {});
+          info.backing->Write(m.page, ctl.pager_copy, []() {});
         }
         if (m.dirty && !info.file_backed) {
           shadow().MirrorToBackup(node_, m.object, m.page, /*version=*/0, ctl.pager_copy);

@@ -91,7 +91,7 @@ void XmmSystem::PromoteIfManagerDead(const MemObjectId& id) {
           continue;
         }
         if (VmPage* vp = rit->second->FindResident(p); vp != nullptr) {
-          ctl.pager_copy = ClonePage(vp->data);
+          ctl.pager_copy = vp->Share();
           cluster_.stats().Add(kStatReconstructedPages);
           harvested = true;
         }

@@ -288,14 +288,14 @@ TEST_F(CopyTest, LockRequestPushAndLockPushesThenDowngrades) {
   ASSERT_NE(copy->FindResident(0), nullptr);
   EXPECT_EQ(source->FindResident(0)->lock, PageAccess::kRead);
   uint64_t v = 0;
-  memcpy(&v, copy->FindResident(0)->data->data(), 8);
+  memcpy(&v, copy->FindResident(0)->contents().data(), 8);
   EXPECT_EQ(v, 31u);
 }
 
 TEST_F(CopyTest, DataSupplyPushModeInsertsIntoCopy) {
   auto source = vm_.CreateObject(2);
   auto copy = vm_.CreateAsymmetricCopy(source);
-  auto data = AllocPage(4096);
+  auto data = std::make_shared<std::vector<std::byte>>(4096);
   uint64_t v = 88;
   memcpy(data->data(), &v, 8);
 
@@ -308,18 +308,18 @@ TEST_F(CopyTest, DataSupplyPushModeInsertsIntoCopy) {
 TEST_F(CopyTest, DataSupplyPushModeSkipsWhenCopyHasPage) {
   auto source = vm_.CreateObject(2);
   auto copy = vm_.CreateAsymmetricCopy(source);
-  auto first = AllocPage(4096);
+  auto first = std::make_shared<std::vector<std::byte>>(4096);
   uint64_t v1 = 1;
   memcpy(first->data(), &v1, 8);
   vm_.DataSupply(*source, 0, std::move(first), PageAccess::kRead, SupplyMode::kPushToCopy);
 
-  auto second = AllocPage(4096);
+  auto second = std::make_shared<std::vector<std::byte>>(4096);
   uint64_t v2 = 2;
   memcpy(second->data(), &v2, 8);
   vm_.DataSupply(*source, 0, std::move(second), PageAccess::kRead, SupplyMode::kPushToCopy);
 
   uint64_t got = 0;
-  memcpy(&got, copy->FindResident(0)->data->data(), 8);
+  memcpy(&got, copy->FindResident(0)->contents().data(), 8);
   EXPECT_EQ(got, 1u);  // first push wins; no overwrite
 }
 

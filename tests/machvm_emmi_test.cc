@@ -34,7 +34,7 @@ class EmmiMatrixTest : public ::testing::Test {
       : vm_(engine_, 0, VmParams{.page_size = 4096, .frame_capacity = 64, .costs = {}}, stats_) {}
 
   PageBuffer MakePage(uint64_t value) {
-    auto page = AllocPage(4096);
+    auto page = std::make_shared<std::vector<std::byte>>(4096);
     memcpy(page->data(), &value, 8);
     return page;
   }
@@ -43,7 +43,7 @@ class EmmiMatrixTest : public ::testing::Test {
     VmPage* vp = obj.FindResident(page);
     EXPECT_NE(vp, nullptr);
     uint64_t v = 0;
-    memcpy(&v, vp->data->data(), 8);
+    memcpy(&v, vp->contents().data(), 8);
     return v;
   }
 
@@ -102,7 +102,7 @@ TEST_F(EmmiMatrixTest, PushModesFeedTheChainOnceEach) {
   EXPECT_EQ(PageValue(*copy, 0), 11u);
   // Overwrite source, then kPushAndFlush: copy already has page -> no second
   // push, source flushed.
-  source->FindResident(0)->data = MakePage(12);
+  vm_.DataSupply(*source, 0, MakePage(12), PageAccess::kWrite);
   vm_.LockRequest(*source, 0, PageAccess::kNone, LockMode::kPushAndFlush, [](LockResult) {});
   engine_.Run();
   EXPECT_EQ(source->FindResident(0), nullptr);

@@ -106,16 +106,47 @@ TEST_F(VmMapTest, UnmappedFaultFails) {
   EXPECT_EQ(f.value(), Status::kInvalidArgument);
 }
 
-TEST_F(VmMapTest, TryAccessFastPathAfterFault) {
+TEST_F(VmMapTest, ReadAndWriteFastPathsAfterFault) {
   VmMap* map = vm_.CreateMap();
   auto obj = vm_.CreateObject(4);
   ASSERT_EQ(map->Map(0, 4, obj, 0, Inheritance::kCopy), Status::kOk);
-  EXPECT_EQ(vm_.TryAccess(*map, 100, PageAccess::kRead), nullptr);
+  EXPECT_EQ(vm_.TryRead(*map, 100), nullptr);
   auto f = vm_.Fault(*map, 100, PageAccess::kRead);
   engine_.Run();
   ASSERT_EQ(f.value(), Status::kOk);
-  EXPECT_NE(vm_.TryAccess(*map, 100, PageAccess::kRead), nullptr);
-  EXPECT_NE(vm_.TryAccess(*map, 100, PageAccess::kWrite), nullptr);  // anonymous: write ok
+  EXPECT_NE(vm_.TryRead(*map, 100), nullptr);
+  EXPECT_NE(vm_.TryWrite(*map, 100), nullptr);  // anonymous: write ok
+}
+
+// TryWrite writes a page in place only while the page holds its contents
+// privately; once they are shared (or were supplied from outside) it copies.
+TEST_F(VmMapTest, WritesCopyContentsOnlyOnceShared) {
+  VmMap* map = vm_.CreateMap();
+  auto obj = vm_.CreateObject(2);
+  ASSERT_EQ(map->Map(0, 2, obj, 0, Inheritance::kCopy), Status::kOk);
+  auto f = vm_.Fault(*map, 0, PageAccess::kWrite);
+  engine_.Run();
+  ASSERT_EQ(f.value(), Status::kOk);
+
+  std::byte* zero_filled = vm_.TryWrite(*map, 0);
+  ASSERT_NE(zero_filled, nullptr);
+  EXPECT_EQ(vm_.TryWrite(*map, 0), zero_filled) << "a private page is written in place";
+
+  const PageBuffer shared = obj->FindResident(0)->Share();
+  std::byte* copied = vm_.TryWrite(*map, 0);
+  ASSERT_NE(copied, shared->data());
+  *copied = std::byte{7};
+  EXPECT_EQ((*shared)[0], std::byte{0}) << "the shared contents must not change";
+  EXPECT_EQ(vm_.TryWrite(*map, 0), copied) << "the copy is private again";
+
+  // Supplied contents replace the page in its reused slot, shared.
+  const PageBuffer supplied = std::make_shared<std::vector<std::byte>>(4096);
+  vm_.DataSupply(*obj, 0, supplied, PageAccess::kWrite);
+  std::byte* rewritten = vm_.TryWrite(*map, 0);
+  ASSERT_NE(rewritten, supplied->data());
+  *rewritten = std::byte{9};
+  EXPECT_EQ((*supplied)[0], std::byte{0}) << "supplied contents must not change";
+  EXPECT_EQ(*vm_.TryRead(*map, 0), std::byte{9});
 }
 
 TEST_F(VmMapTest, FaultChargesSimulatedTime) {

@@ -62,7 +62,7 @@ class ManagedObjectTest : public ::testing::Test {
   }
 
   PageBuffer MakePage(uint64_t value) {
-    auto page = AllocPage(4096);
+    auto page = std::make_shared<std::vector<std::byte>>(4096);
     memcpy(page->data(), &value, 8);
     return page;
   }

@@ -184,18 +184,39 @@ TEST(DefaultPagerTest, RoundTripPreservesData) {
   TraceSink trace;
   Disk disk(engine, 0, DiskParams{}, stats, trace);
   DefaultPager pager(engine, &disk, stats);
-  auto page = AllocPage(4096);
-  (*page)[0] = std::byte{0xAB};
-  EXPECT_FALSE(pager.HasPage(1, 0));
-  pager.WritePage(1, 0, page);
-  EXPECT_TRUE(pager.HasPage(1, 0));
-  // Mutating the original after the write must not affect the stored copy.
-  (*page)[0] = std::byte{0x00};
+  NodeVm vm(engine, 0, VmParams{.page_size = 4096, .frame_capacity = 8, .costs = {}}, stats);
+  vm.SetDefaultPager(&pager);
+  VmMap* map = vm.CreateMap();
+  auto obj = vm.CreateObject(2);
+  ASSERT_EQ(map->Map(0, 2, obj, 0, Inheritance::kCopy), Status::kOk);
+  TaskMemory mem(vm, *map);
+  auto first = mem.WriteU64(0, 0xAB);
+  engine.Run();
+  ASSERT_EQ(first.value(), Status::kOk);
+
+  // Page it out, then fault it back in: the resident page and paging space
+  // now hold the same contents.
+  EXPECT_FALSE(pager.HasPage(obj->serial(), 0));
+  ASSERT_EQ(vm.EvictOnePage(), Status::kOk);
+  EXPECT_TRUE(pager.HasPage(obj->serial(), 0));
+  auto paged_in = mem.ReadU64(0);
+  engine.Run();
+  ASSERT_EQ(paged_in.value(), 0xABu);
+
+  // Writing the resident page must not change what paging space holds.
+  auto second = mem.WriteU64(0, 0xCD);
+  engine.Run();
+  ASSERT_EQ(second.value(), Status::kOk);
   PageBuffer got;
-  pager.ReadPage(1, 0, [&](PageBuffer data) { got = std::move(data); });
+  pager.ReadPage(obj->serial(), 0, [&](PageBuffer data) { got = std::move(data); });
   engine.Run();
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ((*got)[0], std::byte{0xAB});
+  uint64_t stored = 0;
+  memcpy(&stored, got->data(), 8);
+  EXPECT_EQ(stored, 0xABu);
+  auto now = mem.ReadU64(0);
+  engine.Run();
+  EXPECT_EQ(now.value(), 0xCDu);
 }
 
 TEST(DefaultPagerTest, DropForgetsPage) {
@@ -251,7 +272,7 @@ TEST_F(FilePagerTest, PrefilledFileHasDeterministicContents) {
 
 TEST_F(FilePagerTest, WriteThenReadReturnsWrittenData) {
   int32_t f = pager_.CreateFile("file", 16, /*prefilled=*/true);
-  auto page = AllocPage(4096);
+  auto page = std::make_shared<std::vector<std::byte>>(4096);
   (*page)[100] = std::byte{0x5C};
   bool written = false;
   pager_.WritePage(f, 2, page, [&]() { written = true; });
