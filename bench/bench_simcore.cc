@@ -111,10 +111,11 @@ BENCHMARK(BM_SimulatedRemoteFaults);
 
 // --- Scheduler-shape comparison ------------------------------------------------
 
-// A transport-sized payload: EventFn keeps captures up to 144 bytes inline,
-// and the real hot closures (a Message envelope plus routing fields) are
-// right at that edge. Carrying it here makes the shapes measure the pooled
-// inline path, not an unrealistically tiny lambda.
+// A 128-byte payload: EventFn keeps captures up to 144 bytes inline, so the
+// shapes measure the pooled inline path with a large closure. The
+// simulator's own closures are smaller (the largest is 64 bytes, and a
+// transport hop carries a boxed Message in 24), but the gated wheel/heap
+// ratios are measured with this size, so it stays.
 struct Payload {
   uint64_t words[16] = {0};
 };

@@ -5,8 +5,11 @@
 # checked-in baseline (bench/baseline/BENCH_baseline.json) and fails when a
 # metric drifts by more than the tolerance (default 15%).
 #
-#   scripts/bench_report.sh --out=BENCH_pr6.json
-#   scripts/bench_report.sh --out=BENCH_pr6.json --check
+#   scripts/bench_report.sh --out=BENCH_prN.json
+#   scripts/bench_report.sh --out=BENCH_prN.json --check
+#
+# --out is required: the committed BENCH_pr*.json reports are history, and
+# no default may overwrite one.
 #
 # The simulation is deterministic, so any drift is a real modeling or
 # performance change, not noise; the tolerance exists for intentional
@@ -42,13 +45,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_pr6.json
+OUT=
 BUILD=build
 BASELINE=bench/baseline/BENCH_baseline.json
 TOLERANCE=0.15
 SPEEDUP_FLOOR=1.5
 SHARD_SPEEDUP_FLOOR=1.5
 CHECK=0
+usage() {
+  echo "usage: $0 --out=FILE [--build=DIR] [--baseline=FILE] [--tolerance=F] [--speedup-floor=F] [--shard-speedup-floor=F] [--check]" >&2
+}
 for arg in "$@"; do
   case "$arg" in
     --out=*) OUT="${arg#--out=}" ;;
@@ -60,11 +66,16 @@ for arg in "$@"; do
     --check) CHECK=1 ;;
     *)
       echo "unknown argument: $arg" >&2
-      echo "usage: $0 [--out=FILE] [--build=DIR] [--baseline=FILE] [--tolerance=F] [--speedup-floor=F] [--shard-speedup-floor=F] [--check]" >&2
+      usage
       exit 2
       ;;
   esac
 done
+if [ -z "$OUT" ]; then
+  echo "missing --out=FILE" >&2
+  usage
+  exit 2
+fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

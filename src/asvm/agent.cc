@@ -442,15 +442,15 @@ void AsvmAgent::SendReply(NodeId to, const AccessReply& reply, PageBuffer data) 
 }
 
 void AsvmAgent::Send(NodeId to, AsvmMsgType type, AsvmBody body, PageBuffer page) {
-  Message msg;
-  msg.protocol = ProtocolId::kAsvm;
-  msg.type = static_cast<uint32_t>(type);
-  msg.control_bytes = 32;  // fixed-size untyped ASVM control block (§3.1)
-  msg.body = std::move(body);
-  msg.page = std::move(page);
+  auto msg = std::make_unique<Message>();
+  msg->protocol = ProtocolId::kAsvm;
+  msg->type = static_cast<uint32_t>(type);
+  msg->control_bytes = 32;  // fixed-size untyped ASVM control block (§3.1)
+  msg->body = std::move(body);
+  msg->page = std::move(page);
   if (system_.config().use_norma_transport) {
     // Transport ablation: everything over NORMA-IPC, as pre-ASVM XMM did.
-    msg.control_bytes = 64;
+    msg->control_bytes = 64;
     system_.cluster().norma().Send(node_, to, std::move(msg));
     return;
   }

@@ -211,7 +211,7 @@ class AsvmAgent : public Pager, public ProtocolAgent {
 
   // --- Message handlers ---------------------------------------------------------
 
-  void OnMessage(NodeId src, Message msg) override;
+  void OnMessage(NodeId src, Message& msg) override;
   void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) override;
 
   // Stall-watchdog probe: base pending ops plus the coherency state of pages

@@ -483,8 +483,8 @@ void AsvmAgent::OnMarkReadOnly(NodeId src, const MarkReadOnly& m) {
 
 // --- Dispatcher --------------------------------------------------------------------
 
-void AsvmAgent::OnMessage(NodeId src, Message msg) {
-  AsvmBody body = std::get<AsvmBody>(std::move(msg.body));
+void AsvmAgent::OnMessage(NodeId src, Message& msg) {
+  AsvmBody& body = std::get<AsvmBody>(msg.body);
   // -Werror=switch keeps this dispatcher exhaustive over AsvmMsgType.
   switch (static_cast<AsvmMsgType>(msg.type)) {
     case AsvmMsgType::kAccessRequest:

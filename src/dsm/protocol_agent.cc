@@ -34,8 +34,8 @@ ProtocolAgent::ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_pr
 }
 
 void ProtocolAgent::Listen(Transport& transport, ProtocolId protocol) {
-  transport.RegisterHandler(
-      protocol, node_, [this](NodeId src, Message msg) { OnMessage(src, std::move(msg)); });
+  transport.RegisterHandler(protocol, node_,
+                            [this](NodeId src, Message& msg) { OnMessage(src, msg); });
 }
 
 Future<Status> ProtocolAgent::Process(SimDuration cost) {

@@ -65,8 +65,9 @@ class ProtocolAgent {
   ProtocolAgent(DsmSystem& dsm, NodeId node, TraceProtocol trace_protocol);
   ~ProtocolAgent() = default;
 
-  // Subclass dispatcher for messages addressed to (protocol, node()).
-  virtual void OnMessage(NodeId src, Message msg) = 0;
+  // Subclass dispatcher for messages addressed to (protocol, node()). `msg`
+  // lives until the dispatcher returns; keep a field by moving it out.
+  virtual void OnMessage(NodeId src, Message& msg) = 0;
 
   // Registers OnMessage as the (protocol, node) handler on `transport`.
   void Listen(Transport& transport, ProtocolId protocol);

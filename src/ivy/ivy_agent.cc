@@ -636,8 +636,8 @@ void IvyAgent::OnDeathNotice(NodeId dead) {
 
 // --- Dispatcher --------------------------------------------------------------
 
-void IvyAgent::OnMessage(NodeId src, Message msg) {
-  IvyBody body = std::get<IvyBody>(std::move(msg.body));
+void IvyAgent::OnMessage(NodeId src, Message& msg) {
+  IvyBody& body = std::get<IvyBody>(msg.body);
   // -Werror=switch keeps this dispatcher exhaustive over IvyMsgType.
   switch (static_cast<IvyMsgType>(msg.type)) {
     case IvyMsgType::kRequest: {
@@ -741,12 +741,12 @@ void IvyAgent::OnMessage(NodeId src, Message msg) {
 }
 
 void IvyAgent::Send(NodeId to, IvyMsgType type, IvyBody body, PageBuffer page) {
-  Message msg;
-  msg.protocol = ProtocolId::kIvy;
-  msg.type = static_cast<uint32_t>(type);
-  msg.control_bytes = 128;  // typed NORMA message with port rights
-  msg.body = std::move(body);
-  msg.page = std::move(page);
+  auto msg = std::make_unique<Message>();
+  msg->protocol = ProtocolId::kIvy;
+  msg->type = static_cast<uint32_t>(type);
+  msg->control_bytes = 128;  // typed NORMA message with port rights
+  msg->body = std::move(body);
+  msg->page = std::move(page);
   system_.cluster().norma().Send(node_, to, std::move(msg));
 }
 

@@ -155,7 +155,7 @@ class IvyAgent : public Pager, public ProtocolAgent {
   // black hole (counts dsm.ivy.chain_cuts) — then runs the common hook.
   void OnDeathNotice(NodeId dead) override;
 
-  void OnMessage(NodeId src, Message msg) override;
+  void OnMessage(NodeId src, Message& msg) override;
   void Send(NodeId to, IvyMsgType type, IvyBody body, PageBuffer page = nullptr);
   void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) override;
 

@@ -1,14 +1,14 @@
 // EventFn — the engine's event closure type: a move-only callable with a
 // small-buffer optimization sized for the simulator's hot producers, so the
-// common wakes (coroutine Delay resumes, transport hop timers carrying a full
-// Message envelope, disk completions, fault-plan jitter deliveries) store
-// their captures inline in the pooled event node and allocate nothing per
-// event. Oversized callables fall back to the heap transparently.
+// common wakes (coroutine Delay resumes, transport hops carrying a boxed
+// Message, disk completions, fault-plan jitter deliveries) store their
+// captures inline in the pooled event node and allocate nothing per event.
+// Oversized callables fall back to the heap transparently.
 //
 // std::function is unsuitable here twice over: it requires copyable targets
-// (event closures move-capture Message envelopes and coroutine handles), and
-// its inline buffer is implementation-defined and too small for a captured
-// envelope, forcing a heap allocation on every message hop.
+// (event closures move-capture std::unique_ptr<Message> boxes and coroutine
+// handles), and its inline buffer is implementation-defined and smaller than
+// many of the closures below, forcing a heap allocation per event.
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
 
@@ -22,10 +22,15 @@ namespace asvm {
 
 class EventFn {
  public:
-  // Sized so the largest hot closure — a transport send capturing
-  // {Transport*, src, dst, wire_bytes, Message} (the Message envelope is 120
-  // bytes) — still stores inline. Measured, not guessed; see
-  // bench_simcore's schedule_run shape for the regression check.
+  // A census of every closure scheduled on the three perfbench workloads
+  // found the largest at 64 bytes (FilePager::ReadPage's completion,
+  // NodeVm::PullRequest, RemoteForkTask); transport closures carry a boxed
+  // Message and are 24 bytes. A 64-byte buffer made perfbench's file-read
+  // 4-6% faster (4 alternating pairs on a shared 4-vCPU host), but it spills
+  // bench_simcore's 128-byte payload to the heap and cut that bench's gated
+  // wheel/heap ratios: schedule_run from 2.4-2.7x to 1.7-1.8x (floor 1.5x),
+  // exponential_arrivals from 1.6-1.7x to 1.3x (floor 1.0x). So it stays at
+  // 144 bytes while that bench gates a 128-byte payload.
   static constexpr size_t kInlineBytes = 144;
 
   EventFn() = default;

@@ -6,8 +6,14 @@
 // The envelope is deliberately closed: adding a protocol or a body type means
 // adding a variant alternative here or in the protocol's messages header, and
 // every std::visit dispatch over it is exhaustive — a new alternative without
-// a handler is a compile error, not a bad_any_cast at run time. No RTTI, no
-// per-message heap allocation for the body.
+// a handler is a compile error, not a bad_any_cast at run time. No RTTI.
+//
+// One envelope per message, and one heap allocation: the sender fills a
+// std::make_unique<Message>() in place and hands the box to Transport::Send.
+// Only the pointer travels through closures, the mailbox and the scheduler;
+// the handler gets a reference, and the box is freed after the handler
+// returns, when its event is destroyed. A Message is never copied or moved:
+// both are compile errors.
 #ifndef SRC_TRANSPORT_MESSAGE_H_
 #define SRC_TRANSPORT_MESSAGE_H_
 
@@ -52,6 +58,12 @@ Overloaded(Ts...) -> Overloaded<Ts...>;
 using PageBuffer = std::shared_ptr<const std::vector<std::byte>>;
 
 struct Message {
+  Message() = default;
+  Message(const Message&) = delete;
+  Message(Message&&) = delete;
+  Message& operator=(const Message&) = delete;
+  Message& operator=(Message&&) = delete;
+
   ProtocolId protocol = ProtocolId::kAsvm;
   // Protocol-specific type tag, used for stats labels and debugging.
   uint32_t type = 0;

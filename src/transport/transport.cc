@@ -92,15 +92,15 @@ void Transport::RegisterHandler(ProtocolId protocol, NodeId node, Handler handle
   slot = std::move(handler);
 }
 
-void Transport::Send(NodeId src, NodeId dst, Message msg) {
+void Transport::Send(NodeId src, NodeId dst, std::unique_ptr<Message> msg) {
+  const size_t bytes = msg->WireBytes() + costs_.control_overhead_bytes;
   messages_counter_.fetch_add(1, std::memory_order_relaxed);
-  bytes_counter_.fetch_add(static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes),
-                           std::memory_order_relaxed);
-  if (msg.page) {
+  bytes_counter_.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
+  if (msg->page) {
     page_messages_counter_.fetch_add(1, std::memory_order_relaxed);
   }
   if (per_type_stats_) {
-    CountType(msg);
+    CountType(*msg);
   }
   if (trace_.enabled()) {
     TraceEvent e;
@@ -109,9 +109,9 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
     e.protocol = TraceProtocol::kTransport;
     e.kind = TraceKind::kMsgSend;
     e.peer = dst;
-    e.op = MessageOpId(msg);
-    e.aux = static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes);
-    e.detail = MsgTypeName(msg);
+    e.op = MessageOpId(*msg);
+    e.aux = static_cast<int64_t>(bytes);
+    e.detail = MsgTypeName(*msg);
     trace_.Emit(e);
   }
 
@@ -119,11 +119,7 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
     // Node-local delivery: no wire, no port/receive queue — just the modeled
     // local handoff cost.
     node_engine(src).Schedule(costs_.local_delivery_ns,
-                              [this, src, dst, msg = std::move(msg)]() mutable {
-                                Handler& handler = HandlerSlot(msg.protocol, dst);
-                                ASVM_CHECK_MSG(handler, "no transport handler registered");
-                                handler(src, std::move(msg));
-                              });
+                              [this, src, dst, msg = std::move(msg)] { Handle(src, dst, *msg); });
     return;
   }
 
@@ -140,14 +136,13 @@ void Transport::Send(NodeId src, NodeId dst, Message msg) {
   // the barrier, which replays records in (send_time, source node,
   // per-source seq) order — including same-shard traffic, so the endpoint
   // busy channels update in one canonical sequence at every shard count.
-  const size_t bytes = msg.WireBytes() + costs_.control_overhead_bytes;
   mailbox_.Post(send_done, src,
                 MeshRecord{dst, bytes, [this, src, dst, msg = std::move(msg)]() mutable {
                              Deliver(src, dst, std::move(msg));
                            }});
 }
 
-void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
+void Transport::Deliver(NodeId src, NodeId dst, std::unique_ptr<Message> msg) {
   Engine& dst_engine = node_engine(dst);
   if (trace_.enabled()) {
     TraceEvent e;
@@ -156,9 +151,9 @@ void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
     e.protocol = TraceProtocol::kTransport;
     e.kind = TraceKind::kMsgRecv;
     e.peer = src;
-    e.op = MessageOpId(msg);
-    e.aux = static_cast<int64_t>(msg.WireBytes() + costs_.control_overhead_bytes);
-    e.detail = MsgTypeName(msg);
+    e.op = MessageOpId(*msg);
+    e.aux = static_cast<int64_t>(msg->WireBytes() + costs_.control_overhead_bytes);
+    e.detail = MsgTypeName(*msg);
     trace_.Emit(e);
   }
   // Software receive path serializes on the receiving node's protocol CPU: a
@@ -168,11 +163,14 @@ void Transport::Deliver(NodeId src, NodeId dst, Message msg) {
   const SimTime handled_at = std::max(now, cpu_busy_until_[dst]) + SwCost(costs_.recv_sw_ns, dst);
   cpu_busy_until_[dst] = handled_at;
 
-  dst_engine.Schedule(handled_at - now, [this, src, dst, msg = std::move(msg)]() mutable {
-    Handler& handler = HandlerSlot(msg.protocol, dst);
-    ASVM_CHECK_MSG(handler, "no transport handler registered");
-    handler(src, std::move(msg));
-  });
+  dst_engine.Schedule(handled_at - now,
+                      [this, src, dst, msg = std::move(msg)] { Handle(src, dst, *msg); });
+}
+
+void Transport::Handle(NodeId src, NodeId dst, Message& msg) {
+  Handler& handler = HandlerSlot(msg.protocol, dst);
+  ASVM_CHECK_MSG(handler, "no transport handler registered");
+  handler(src, msg);
 }
 
 TransportCosts StsCosts() {

@@ -20,6 +20,7 @@
 #include <array>
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +45,9 @@ struct TransportCosts {
 
 class Transport {
  public:
-  using Handler = std::function<void(NodeId src, Message msg)>;
+  // Handlers get the envelope by reference; it lives until the handler
+  // returns.
+  using Handler = std::function<void(NodeId src, Message& msg)>;
 
   // `engines` maps each node to the engine that simulates it; cross-node
   // sends are posted into `mailbox`, which the cluster replays. Slow-node
@@ -67,8 +70,9 @@ class Transport {
   // Sends msg from src to dst. Delivery invokes the registered handler after
   // the modeled software + wire latency. src == dst is a local delivery that
   // bypasses the mesh; any other send waits in the mailbox and enters the
-  // fabric when the cluster replays it.
-  void Send(NodeId src, NodeId dst, Message msg);
+  // fabric when the cluster replays it. The box travels as is: the handler
+  // sees the very Message the sender filled.
+  void Send(NodeId src, NodeId dst, std::unique_ptr<Message> msg);
 
   const std::string& name() const { return name_; }
   const TransportCosts& costs() const { return costs_; }
@@ -85,7 +89,9 @@ class Transport {
   static constexpr size_t kMaxProtocols = 5;
   static constexpr size_t kMaxMsgTypes = 32;
 
-  void Deliver(NodeId src, NodeId dst, Message msg);
+  void Deliver(NodeId src, NodeId dst, std::unique_ptr<Message> msg);
+  // Runs dst's handler for msg.protocol; the caller's event owns the box.
+  void Handle(NodeId src, NodeId dst, Message& msg);
   Handler& HandlerSlot(ProtocolId protocol, NodeId node);
   void CountType(const Message& msg);
   SimDuration SwCost(SimDuration base, NodeId node);

@@ -379,7 +379,7 @@ Task XmmAgent::ManagerServe(XmmRequest req) {
 
 // --- Dispatcher -------------------------------------------------------------------
 
-void XmmAgent::OnMessage(NodeId src, Message msg) {
+void XmmAgent::OnMessage(NodeId src, Message& msg) {
   XmmBody& body = std::get<XmmBody>(msg.body);
   // -Werror=switch keeps this dispatcher exhaustive over XmmMsgType.
   switch (static_cast<XmmMsgType>(msg.type)) {
@@ -511,12 +511,12 @@ void XmmAgent::OnMessage(NodeId src, Message msg) {
 }
 
 void XmmAgent::Send(NodeId to, XmmMsgType type, XmmBody body, PageBuffer page) {
-  Message msg;
-  msg.protocol = ProtocolId::kXmm;
-  msg.type = static_cast<uint32_t>(type);
-  msg.control_bytes = 128;  // typed NORMA message with port rights
-  msg.body = std::move(body);
-  msg.page = std::move(page);
+  auto msg = std::make_unique<Message>();
+  msg->protocol = ProtocolId::kXmm;
+  msg->type = static_cast<uint32_t>(type);
+  msg->control_bytes = 128;  // typed NORMA message with port rights
+  msg->body = std::move(body);
+  msg->page = std::move(page);
   system_.cluster().norma().Send(node_, to, std::move(msg));
 }
 

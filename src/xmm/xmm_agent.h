@@ -99,7 +99,7 @@ class XmmAgent : public Pager, public ProtocolAgent {
   std::vector<NodeId> FindReaders(ManagerState& ms, const MemObjectId& id, PageIndex page,
                                   NodeId except);
 
-  void OnMessage(NodeId src, Message msg) override;
+  void OnMessage(NodeId src, Message& msg) override;
   void Send(NodeId to, XmmMsgType type, XmmBody body, PageBuffer page = nullptr);
   void SendShadow(NodeId to, bool manifest, const ShadowUpdate& m, PageBuffer page) override;
 

@@ -2,10 +2,12 @@
 // plumbing from MachineConfig down to the per-node components.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "src/core/machine.h"
 #include "src/dsm/cluster.h"
+#include "src/machvm/page.h"
 
 namespace asvm {
 namespace {
@@ -57,14 +59,49 @@ TEST(ClusterTest, TransportsShareOneEngineAndStats) {
   params.node_count = 3;
   Cluster cluster(params);
   bool delivered = false;
-  cluster.sts().RegisterHandler(ProtocolId::kXmm, 2, [&](NodeId, Message) { delivered = true; });
-  Message msg;  // tag-only: a monostate body
-  msg.protocol = ProtocolId::kXmm;
+  cluster.sts().RegisterHandler(ProtocolId::kXmm, 2, [&](NodeId, Message&) { delivered = true; });
+  auto msg = std::make_unique<Message>();  // tag-only: a monostate body
+  msg->protocol = ProtocolId::kXmm;
   cluster.sts().Send(0, 2, std::move(msg));
   cluster.Run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(cluster.stats().Get("transport.sts.messages"), 1);
   EXPECT_EQ(cluster.stats().Get("mesh.messages"), 1);
+}
+
+TEST(ClusterTest, EnvelopesCrossShardsAsTheSendersBox) {
+  // Node 0 (shard 0) and node 3 (shard 1) play ping-pong with page-carrying
+  // messages. Each handler reads the very box its peer gave Send, on the
+  // other shard's thread, and that thread frees the box and its page.
+  ClusterParams params;
+  params.node_count = 4;
+  params.nodes_per_io_group = 2;
+  params.shards = 2;
+  Cluster cluster(params);
+  ASSERT_NE(&cluster.engine_for(0), &cluster.engine_for(3));
+  constexpr int kRounds = 8;
+  const Message* sent = nullptr;
+  int delivered = 0;
+  auto send = [&](NodeId src, NodeId dst) {
+    auto msg = std::make_unique<Message>();
+    msg->protocol = ProtocolId::kXmm;
+    msg->page = AllocPage(cluster.page_size());
+    sent = msg.get();
+    cluster.sts().Send(src, dst, std::move(msg));
+  };
+  for (NodeId node : {0, 3}) {
+    cluster.sts().RegisterHandler(ProtocolId::kXmm, node, [&, node](NodeId src, Message& msg) {
+      EXPECT_EQ(&msg, sent);
+      EXPECT_EQ(msg.page->size(), cluster.page_size());
+      if (++delivered < kRounds) {
+        send(node, src);
+      }
+    });
+  }
+  cluster.engine_for(0).Schedule(0, [&] { send(0, 3); });
+  cluster.Run();
+  EXPECT_EQ(delivered, kRounds);
+  EXPECT_EQ(cluster.stats().Get("mesh.messages"), kRounds);
 }
 
 // --- Stall watchdog ------------------------------------------------------------
@@ -149,7 +186,7 @@ TEST(ClusterStallTest, ShardDrainingWhileAMessageIsInFlightIsNotAStall) {
   Cluster cluster(params);
   ASSERT_EQ(cluster.shards(), 2);
   bool delivered = false;
-  cluster.sts().RegisterHandler(ProtocolId::kXmm, 3, [&](NodeId, Message) { delivered = true; });
+  cluster.sts().RegisterHandler(ProtocolId::kXmm, 3, [&](NodeId, Message&) { delivered = true; });
   cluster.AddStallProbe([&](std::string& report) {
     report += "  node 3: waiting for node 0's message\n";
     return !delivered;
@@ -157,8 +194,8 @@ TEST(ClusterStallTest, ShardDrainingWhileAMessageIsInFlightIsNotAStall) {
   int stalls = 0;
   cluster.SetStallHandler([&](const std::string&) { ++stalls; });
   cluster.engine_for(0).Schedule(0, [&cluster]() {
-    Message msg;
-    msg.protocol = ProtocolId::kXmm;
+    auto msg = std::make_unique<Message>();
+    msg->protocol = ProtocolId::kXmm;
     cluster.sts().Send(0, 3, std::move(msg));
   });
   cluster.Run();

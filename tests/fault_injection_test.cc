@@ -376,7 +376,7 @@ TEST(FaultInjectionTest, DuplicateWindowSurvivesAFloodOfInterleavedOps) {
     TestAgent(DsmSystem& dsm, NodeId node)
         : ProtocolAgent(dsm, node, TraceProtocol::kAsvm) {}
     using ProtocolAgent::DuplicateDelivery;
-    void OnMessage(NodeId, Message) override {}
+    void OnMessage(NodeId, Message&) override {}
     void SendShadow(NodeId, bool, const ShadowUpdate&, PageBuffer) override {}
   };
   TestAgent agent(machine.dsm(), 0);

@@ -18,6 +18,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -463,13 +464,13 @@ TEST(ClusterFabricTest, SameInstantSendsReplayInSourceOrderAtEveryShardCount) {
     params.shards = shards;
     Cluster cluster(params);
     Log log;
-    cluster.sts().RegisterHandler(ProtocolId::kIvy, 0, [&](NodeId src, Message) {
+    cluster.sts().RegisterHandler(ProtocolId::kIvy, 0, [&](NodeId src, Message&) {
       log.emplace_back(src, cluster.engine_for(0).Now());
     });
     for (NodeId src : {3, 1}) {
       cluster.engine_for(src).Schedule(0, [&cluster, src]() {
-        Message msg;
-        msg.protocol = ProtocolId::kIvy;
+        auto msg = std::make_unique<Message>();
+        msg->protocol = ProtocolId::kIvy;
         cluster.sts().Send(src, 0, std::move(msg));
       });
     }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,12 +30,12 @@ class TransportTest : public ::testing::Test {
   int64_t Stat(const std::string& name) { return cluster_.stats().Get(name); }
 
   // A minimal typed message: the ping value rides in PullDone::page.
-  Message MakeMsg(int value, PageBuffer page = nullptr) {
-    Message msg;
-    msg.protocol = ProtocolId::kAsvm;
-    msg.type = static_cast<uint32_t>(AsvmMsgType::kPullDone);
-    msg.body = AsvmBody{PullDone{MemObjectId{}, value}};
-    msg.page = std::move(page);
+  std::unique_ptr<Message> MakeMsg(int value, PageBuffer page = nullptr) {
+    auto msg = std::make_unique<Message>();
+    msg->protocol = ProtocolId::kAsvm;
+    msg->type = static_cast<uint32_t>(AsvmMsgType::kPullDone);
+    msg->body = AsvmBody{PullDone{MemObjectId{}, value, kInvalidNode}};
+    msg->page = std::move(page);
     return msg;
   }
 
@@ -49,7 +51,7 @@ class TransportTest : public ::testing::Test {
 TEST_F(TransportTest, DeliversBodyToRegisteredHandler) {
   int received = 0;
   NodeId from = kInvalidNode;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 3, [&](NodeId src, Message msg) {
+  sts_.RegisterHandler(ProtocolId::kAsvm, 3, [&](NodeId src, Message& msg) {
     from = src;
     received = PingValue(msg);
   });
@@ -62,10 +64,10 @@ TEST_F(TransportTest, DeliversBodyToRegisteredHandler) {
 TEST_F(TransportTest, HandlersAreKeyedByProtocolAndNode) {
   int asvm_count = 0;
   int ivy_count = 0;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message) { ++asvm_count; });
-  sts_.RegisterHandler(ProtocolId::kIvy, 1, [&](NodeId, Message) { ++ivy_count; });
-  Message msg;  // tag-only: a monostate body
-  msg.protocol = ProtocolId::kIvy;
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message&) { ++asvm_count; });
+  sts_.RegisterHandler(ProtocolId::kIvy, 1, [&](NodeId, Message&) { ++ivy_count; });
+  auto msg = std::make_unique<Message>();  // tag-only: a monostate body
+  msg->protocol = ProtocolId::kIvy;
   sts_.Send(0, 1, std::move(msg));
   sts_.Send(0, 1, MakeMsg(2));
   cluster_.Run();
@@ -76,9 +78,9 @@ TEST_F(TransportTest, HandlersAreKeyedByProtocolAndNode) {
 TEST_F(TransportTest, StsIsMuchFasterThanNorma) {
   SimTime sts_done = 0;
   SimTime norma_done = 0;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message) { sts_done = Now(); });
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message&) { sts_done = Now(); });
   norma_.RegisterHandler(ProtocolId::kAsvm, 2,
-                         [&](NodeId, Message) { norma_done = Now(); });
+                         [&](NodeId, Message&) { norma_done = Now(); });
   sts_.Send(0, 1, MakeMsg(1));
   norma_.Send(0, 2, MakeMsg(1));
   cluster_.Run();
@@ -91,7 +93,7 @@ TEST_F(TransportTest, StsIsMuchFasterThanNorma) {
 TEST_F(TransportTest, PagePayloadAddsWireTime) {
   SimTime small_done = 0;
   SimTime page_done = 0;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message msg) {
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [&](NodeId, Message& msg) {
     if (msg.page) {
       page_done = Now();
     } else {
@@ -108,7 +110,7 @@ TEST_F(TransportTest, PagePayloadAddsWireTime) {
 
 TEST_F(TransportTest, LocalDeliveryBypassesMesh) {
   int received = 0;
-  sts_.RegisterHandler(ProtocolId::kAsvm, 5, [&](NodeId src, Message) {
+  sts_.RegisterHandler(ProtocolId::kAsvm, 5, [&](NodeId src, Message&) {
     EXPECT_EQ(src, 5);
     ++received;
   });
@@ -119,12 +121,33 @@ TEST_F(TransportTest, LocalDeliveryBypassesMesh) {
   EXPECT_LE(Now(), 50 * kMicrosecond);
 }
 
+TEST_F(TransportTest, HandlerSeesTheEnvelopeSendWasGiven) {
+  // One envelope per message: the handler reads the very box the sender
+  // filled, over the mesh (0 -> 3) and on a local delivery (5 -> 5).
+  const Message* sent = nullptr;
+  int handled = 0;
+  for (NodeId dst : {3, 5}) {
+    sts_.RegisterHandler(ProtocolId::kAsvm, dst, [&](NodeId, Message& msg) {
+      EXPECT_EQ(&msg, sent);
+      ++handled;
+    });
+  }
+  for (auto [src, dst] : {std::pair<NodeId, NodeId>{0, 3}, {5, 5}}) {
+    auto msg = MakeMsg(dst);
+    sent = msg.get();
+    sts_.Send(src, dst, std::move(msg));
+    cluster_.Run();
+  }
+  EXPECT_EQ(handled, 2);
+  EXPECT_EQ(Stat("mesh.messages"), 1);
+}
+
 TEST_F(TransportTest, ReceiverSerializesManyToOne) {
   // A burst of requests to one node is processed sequentially — the effect
   // that throttles a centralized manager.
   std::vector<SimTime> handled;
   sts_.RegisterHandler(ProtocolId::kAsvm, 0,
-                       [&](NodeId, Message) { handled.push_back(Now()); });
+                       [&](NodeId, Message&) { handled.push_back(Now()); });
   for (NodeId src = 1; src <= 6; ++src) {
     sts_.Send(src, 0, MakeMsg(src));
   }
@@ -139,7 +162,7 @@ TEST_F(TransportTest, SenderSerializesFanOut) {
   std::vector<SimTime> handled;
   for (NodeId dst = 1; dst <= 6; ++dst) {
     sts_.RegisterHandler(ProtocolId::kAsvm, dst,
-                         [&](NodeId, Message) { handled.push_back(Now()); });
+                         [&](NodeId, Message&) { handled.push_back(Now()); });
   }
   for (NodeId dst = 1; dst <= 6; ++dst) {
     sts_.Send(0, dst, MakeMsg(dst));
@@ -154,8 +177,8 @@ TEST_F(TransportTest, SenderSerializesFanOut) {
 }
 
 TEST_F(TransportTest, StatsTrackPerTransportTraffic) {
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {});
-  norma_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {});
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message&) {});
+  norma_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message&) {});
   auto page = std::make_shared<std::vector<std::byte>>(8192);
   sts_.Send(0, 1, MakeMsg(1, page));
   norma_.Send(0, 1, MakeMsg(1));
@@ -170,7 +193,7 @@ TEST_F(TransportTest, StatsTrackPerTransportTraffic) {
 }
 
 TEST_F(TransportTest, PerTypeCountersAreOptIn) {
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {});
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message&) {});
   sts_.Send(0, 1, MakeMsg(1));
   cluster_.Run();
   EXPECT_EQ(Stat("transport.sts.msg.pull_done"), 0);
@@ -182,8 +205,8 @@ TEST_F(TransportTest, PerTypeCountersAreOptIn) {
 }
 
 TEST_F(TransportTest, DuplicateHandlerRegistrationAborts) {
-  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {});
-  EXPECT_DEATH(sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message) {}),
+  sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message&) {});
+  EXPECT_DEATH(sts_.RegisterHandler(ProtocolId::kAsvm, 1, [](NodeId, Message&) {}),
                "duplicate");
 }
 
